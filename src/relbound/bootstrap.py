@@ -10,6 +10,12 @@ by dataset resampling; internally everything stays on the
 standardized-quantile scale (log-reliability scale for exponentials), where
 the nested transform is a plain affine map, and probabilities are
 materialized only to evaluate the structure function.
+
+The dbpt second layer (B first-layer rows times C shared auxiliary pairs per
+component) is evaluated in blocks of first-layer rows through preallocated
+buffers, so its working memory is O(s * rows * C) with rows * C near 2**15,
+whatever B is.  ``dbpt_lcl`` and the LCL-versus-time curve share that one
+kernel.
 """
 
 from __future__ import annotations
@@ -154,6 +160,58 @@ def _select_dbpt(r_star: np.ndarray, u_counts: np.ndarray, B: int, C: int, alpha
     return kth_smallest(r_star, k_prime), u_k, k, k_prime
 
 
+# Elements per second-layer block: rows * C stays near 2**15 doubles (256 KiB),
+# so each component's block fits in cache between the affine map and sf.
+_BLOCK_ELEMS = 2 ** 15
+
+
+def _second_layer(structure, comps, vals1, aux2, r_hat, diagnostics=True):
+    """Per first-layer row j, how many of the C second-layer system values are <= r_hat.
+
+    Row j of component i transforms ``vals1[i][j]`` by each of the C shared
+    auxiliary pairs ``aux2[i]``.  Rows are processed in blocks of
+    ``max(1, 2**15 // C)``; the affine map of each component is written into one
+    reused (rows, C) buffer, so peak memory is O(s * rows * C) instead of
+    O(s * B * C).  Each element goes through the same numpy operations as the
+    unblocked map, so the counts are bit-identical to it.
+
+    Returns ``(u_counts, boundary_hits, ties)``: the int64 counts per row,
+    second-layer component values equal to 0 or 1, and system values equal to
+    ``r_hat``.  The last two are 0 when ``diagnostics`` is false.
+    """
+    B, C = vals1[0].shape[0], aux2[0][1].shape[0]
+    rows = max(1, _BLOCK_ELEMS // C)
+    buf = np.empty((min(rows, B), C))
+    scales = [None if comp.is_exp else comp.family.kappa2 / m2
+              for comp, (_, m2) in zip(comps, aux2)]
+    u_counts = np.empty(B, dtype=np.int64)
+    hits = ties = 0
+    for lo in range(0, B, rows):
+        hi = min(lo + rows, B)
+        block = buf[: hi - lo]
+        r2_list = []
+        for comp, v1, (z2, m2), scale in zip(comps, vals1, aux2, scales):
+            col = v1[lo:hi, None]
+            if comp.is_exp:
+                np.divide(col, m2, out=block)
+                r2 = np.exp(block)
+            else:
+                np.subtract(col, z2, out=block)
+                np.multiply(block, scale, out=block)
+                np.add(block, comp.family.kappa1, out=block)
+                r2 = comp.family.sf(block)
+                if np.may_share_memory(r2, buf):  # a Generic sf may hand its input back
+                    r2 = r2.copy()
+            if diagnostics:
+                hits += _boundary_hits(r2)
+            r2_list.append(r2)
+        r_2star = np.asarray(_eval(structure, r2_list))
+        u_counts[lo:hi] = np.count_nonzero(r_2star <= r_hat, axis=1)
+        if diagnostics:
+            ties += int(np.count_nonzero(r_2star == r_hat))
+    return u_counts, hits, ties
+
+
 def dbpt_lcl(structure: StructureNode, families, datasets, t, alpha: float = 0.1,
              B: int = 1000, C: int = 500, rng=None, *,
              paper_literal_aux: bool = False) -> LclResult:
@@ -171,26 +229,15 @@ def dbpt_lcl(structure: StructureNode, families, datasets, t, alpha: float = 0.1
     comps, r_hat = _fit_components(structure, families, datasets, t)
     vals1, r_star, hits = _first_layer(comps, structure, B, rng, paper_literal_aux)
 
-    r2_list = []
-    for i, comp in enumerate(comps):
-        z2, m2 = gen_aux_batch(comp.family, comp.n, C,
-                               generator(rng, _LAYER_TWO, i), paper_literal_aux)
-        if comp.is_exp:
-            vals2 = vals1[i][:, None] / m2[None, :]
-        else:
-            scale = comp.family.kappa2 / m2
-            vals2 = (vals1[i][:, None] - z2[None, :]) * scale[None, :] + comp.family.kappa1
-        r2 = _materialize(comp, vals2)
-        hits += _boundary_hits(r2)
-        r2_list.append(r2)
-    r_2star = np.asarray(_eval(structure, r2_list))
-
-    u_counts = (r_2star <= r_hat).sum(axis=1)
-    ties = int((r_2star == r_hat).sum())
-    lcl, _, _, _ = _select_dbpt(r_star, u_counts, B, C, alpha)
+    aux2 = [gen_aux_batch(comp.family, comp.n, C, generator(rng, _LAYER_TWO, i),
+                          paper_literal_aux)
+            for i, comp in enumerate(comps)]
+    u_counts, hits2, ties = _second_layer(structure, comps, vals1, aux2, r_hat)
+    hits += hits2
+    lcl, u_k, k, k_prime = _select_dbpt(r_star, u_counts, B, C, alpha)
     return make_result(
         "dbpt", lcl, r_hat, t, alpha, B=B, C=C, seed=seed_entropy(rng),
-        boundary_hits=hits, ties=ties,
+        boundary_hits=hits, ties=ties, ranks=(u_k, k, k_prime),
         component_estimates=[c.estimate.summary() for c in comps],
     )
 
@@ -292,9 +339,9 @@ def dbp_lcl_oracle(structure: StructureNode, families, datasets, t,
         u_counts[j] = int((r_2star <= r_hat).sum())
         ties += int((r_2star == r_hat).sum())
 
-    lcl, _, _, _ = _select_dbpt(r_star, u_counts, B, C, alpha)
+    lcl, u_k, k, k_prime = _select_dbpt(r_star, u_counts, B, C, alpha)
     return make_result(
         "dbp", lcl, r_hat, t, alpha, B=B, C=C, seed=seed_entropy(rng),
-        boundary_hits=0, ties=ties,
+        boundary_hits=0, ties=ties, ranks=(u_k, k, k_prime),
         component_estimates=[c.estimate.summary() for c in comps],
     )

@@ -17,6 +17,11 @@ class LclResult:
     delta and basic-bootstrap methods it is the raw real number, which may
     leave the unit interval (``fell_outside``), with ``clamped`` as the
     in-range companion.
+
+    The double bootstrap methods also carry their selection ranks: ``k`` =
+    ceil(B*alpha), ``u_k`` = the k-th smallest second-layer count (out of C),
+    and ``k_prime`` = ceil(B*u_k/C) clamped to [1, B], the rank of the
+    first-layer value reported.  They are None for the other methods.
     """
 
     method: str
@@ -33,8 +38,14 @@ class LclResult:
     boundary_hits: int = 0
     ties: int = 0
     component_estimates: tuple = field(default_factory=tuple)
+    u_k: Optional[int] = None
+    k: Optional[int] = None
+    k_prime: Optional[int] = None
 
     def to_dict(self) -> dict:
+        diagnostics = {"boundary_hits": self.boundary_hits, "ties": self.ties}
+        if self.k is not None:
+            diagnostics.update(u_k=self.u_k, k=self.k, k_prime=self.k_prime)
         return {
             "method": self.method,
             "lcl": self.lcl,
@@ -48,17 +59,22 @@ class LclResult:
             "alpha": self.alpha,
             "B": self.B,
             "C": self.C,
-            "diagnostics": {"boundary_hits": self.boundary_hits, "ties": self.ties},
+            "diagnostics": diagnostics,
         }
 
 
 def make_result(method, raw, r_hat, t, alpha, *, percentile=True, B=None, C=None,
-                seed=None, boundary_hits=0, ties=0, component_estimates=()):
-    """Assemble an LclResult, clamping and flagging the raw value."""
+                seed=None, boundary_hits=0, ties=0, ranks=(None, None, None),
+                component_estimates=()):
+    """Assemble an LclResult, clamping and flagging the raw value.
+
+    ``ranks`` is the (u_k, k, k_prime) triple of the double bootstrap selection.
+    """
     raw = float(raw)
     clamped = min(1.0, max(0.0, raw))
     fell_outside = not 0.0 <= raw <= 1.0
     lcl = clamped if percentile else raw
+    u_k, k, k_prime = ranks
     return LclResult(
         method=method,
         lcl=lcl,
@@ -74,4 +90,7 @@ def make_result(method, raw, r_hat, t, alpha, *, percentile=True, B=None, C=None
         boundary_hits=int(boundary_hits),
         ties=int(ties),
         component_estimates=tuple(component_estimates),
+        u_k=u_k,
+        k=k,
+        k_prime=k_prime,
     )

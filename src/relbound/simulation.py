@@ -32,6 +32,7 @@ from .bootstrap import (
     _materialize,
     _moment_params_rows,
     _sample_matrix,
+    _second_layer,
     _select_dbpt,
     bb_lcl,
     bp_lcl,
@@ -348,17 +349,7 @@ def _curve_dbpt(node, comps, t_grid, alpha, B, C, seed, paper_literal):
         vals1, r1 = _first_layer_at(comps, bases, aux1)
         r_star = np.asarray(_eval(node, r1))
         r_hat = float(_eval(node, [_materialize(c, b) for c, b in zip(comps, bases)]))
-        r2_list = []
-        for i, comp in enumerate(comps):
-            z2, m2 = aux2[i]
-            if comp.is_exp:
-                vals2 = vals1[i][:, None] / m2[None, :]
-            else:
-                scale = comp.family.kappa2 / m2
-                vals2 = (vals1[i][:, None] - z2[None, :]) * scale[None, :] + comp.family.kappa1
-            r2_list.append(_materialize(comp, vals2))
-        r_2star = np.asarray(_eval(node, r2_list))
-        u_counts = (r_2star <= r_hat).sum(axis=1)
+        u_counts, _, _ = _second_layer(node, comps, vals1, aux2, r_hat, diagnostics=False)
         curve[g], _, _, _ = _select_dbpt(r_star, u_counts, B, C, alpha)
     return curve
 

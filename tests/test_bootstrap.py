@@ -1,10 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 from scipy.stats import gamma, ks_2samp
 
 from relbound.bootstrap import (
+    _boundary_hits,
+    _eval,
+    _first_layer,
+    _fit_components,
+    _materialize,
+    _second_layer,
     _select_dbpt,
     bb_lcl,
     bp_lcl,
@@ -16,10 +24,14 @@ from relbound.distributions import (
     LOGNORMAL,
     WEIBULL,
     ComponentModel,
+    Generic,
     sample_lifetimes,
 )
+from relbound.resampling import gen_aux_batch
 from relbound.rng import child_seedseq, generator
-from relbound.structures import parse_structure
+from relbound.selection import ceil_div, ceil_index, kth_smallest
+from relbound.simulation import default_t_grid, lcl_curve
+from relbound.structures import num_components, parse_structure
 
 SERIES3 = parse_structure("series(c1,c2,c3)")
 SINGLE = parse_structure("series(c1)")
@@ -260,3 +272,150 @@ class TestDbpOracle:
             b_vals.append(dbp_lcl_oracle(node, [EXPONENTIAL] * 2, data_b, t, 0.1, 200, 100,
                                          child_seedseq(rs, 3)).lcl)
         assert ks_2samp(a_vals, b_vals).pvalue > 1e-3
+
+
+# --- the blocked second layer against the unblocked map --------------------------
+
+
+def _normal_inplace_sf(x):
+    # a legal caller-supplied sf that overwrites and returns its argument
+    np.negative(x, out=x)
+    return ndtr(x, out=x)
+
+
+GENERIC_NORMAL = Generic(cdf=ndtr, quantile=ndtri,
+                         sample=lambda shape, rng: rng.standard_normal(shape),
+                         kappa1=0.0, kappa2=1.0, name="normal-as-generic")
+GENERIC_INPLACE = Generic(cdf=ndtr, quantile=ndtri, sf=_normal_inplace_sf,
+                          sample=lambda shape, rng: rng.standard_normal(shape),
+                          kappa1=0.0, kappa2=1.0, name="normal-inplace-sf")
+KERNEL_FAMILIES = {
+    "weibull": WEIBULL,
+    "lognormal": LOGNORMAL,
+    "exponential": EXPONENTIAL,
+    "generic": GENERIC_NORMAL,
+    "generic-inplace-sf": GENERIC_INPLACE,
+}
+KERNEL_STRUCTURES = [
+    "series(c1,c2,c3)",
+    "parallel(c1,c2,c3)",
+    "koutofn(2;c1,c2,c3)",
+    "parallel(c1,series(c2,koutofn(2;c3,c4,c5)))",
+]
+# (B, C): B not a multiple of the block rows, B below one block, C = 1, and
+# C above 2**15 so that every block is a single row
+KERNEL_SHAPES = [(300, 200), (20, 500), (50, 1), (5, 2 ** 15 + 3)]
+
+
+def _unblocked_second_layer(structure, comps, vals1, aux2, r_hat):
+    """The whole B x C second layer at once: the reference for the blocked kernel."""
+    hits, r2_list = 0, []
+    for i, comp in enumerate(comps):
+        z2, m2 = aux2[i]
+        if comp.is_exp:
+            vals2 = vals1[i][:, None] / m2[None, :]
+        else:
+            scale = comp.family.kappa2 / m2
+            vals2 = (vals1[i][:, None] - z2[None, :]) * scale[None, :] + comp.family.kappa1
+        r2 = _materialize(comp, vals2)
+        hits += _boundary_hits(r2)
+        r2_list.append(r2)
+    r_2star = np.asarray(_eval(structure, r2_list))
+    return r_2star, (r_2star <= r_hat).sum(axis=1), hits, int((r_2star == r_hat).sum())
+
+
+def _layers(structure, family, B, C, seed):
+    s = num_components(structure)
+    if family is EXPONENTIAL:
+        models = [ComponentModel(family, rate=1.0)] * s
+    else:
+        models = [ComponentModel(family, mu=0.3, sigma=0.8)] * s
+    # n = 5 at t = 0.7 pushes some second-layer values to exactly 0 or 1
+    comps, r_hat = _fit_components(structure, [family] * s, make_data(models, 5, seed), 0.7)
+    vals1, _, _ = _first_layer(comps, structure, B, seed, False)
+    aux2 = [gen_aux_batch(c.family, c.n, C, generator(seed, 2, i), False)
+            for i, c in enumerate(comps)]
+    return comps, vals1, aux2, r_hat
+
+
+class TestSecondLayerKernel:
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda bc: f"B{bc[0]}-C{bc[1]}")
+    @pytest.mark.parametrize("text", KERNEL_STRUCTURES)
+    @pytest.mark.parametrize("family_name", sorted(KERNEL_FAMILIES))
+    def test_matches_unblocked_map(self, family_name, text, shape):
+        B, C = shape
+        node = parse_structure(text)
+        comps, vals1, aux2, r_hat = _layers(node, KERNEL_FAMILIES[family_name], B, C, 31)
+        r_2star, *expected = _unblocked_second_layer(node, comps, vals1, aux2, r_hat)
+        u_counts, hits, ties = _second_layer(node, comps, vals1, aux2, r_hat)
+        assert u_counts.dtype == np.int64
+        assert np.array_equal(u_counts, expected[0])
+        assert (hits, ties) == tuple(expected[1:])
+        # a threshold taken from the second layer itself forces at least one tie
+        tied = float(r_2star[B // 2, C // 2])
+        _, *expected = _unblocked_second_layer(node, comps, vals1, aux2, tied)
+        u_counts, hits, ties = _second_layer(node, comps, vals1, aux2, tied)
+        assert np.array_equal(u_counts, expected[0])
+        assert (hits, ties) == tuple(expected[1:])
+        assert ties >= 1
+
+    def test_diagnostics_off_keeps_counts(self):
+        node = parse_structure(KERNEL_STRUCTURES[-1])
+        comps, vals1, aux2, r_hat = _layers(node, WEIBULL, 300, 200, 5)
+        full = _second_layer(node, comps, vals1, aux2, r_hat)
+        bare = _second_layer(node, comps, vals1, aux2, r_hat, diagnostics=False)
+        assert np.array_equal(full[0], bare[0])
+        assert bare[1:] == (0, 0)
+
+    @pytest.mark.parametrize("family", [WEIBULL, LOGNORMAL, EXPONENTIAL],
+                             ids=lambda f: f.name)
+    def test_curve_equals_scalar_lcl_at_every_grid_point(self, family):
+        node = parse_structure("parallel(c1,series(c2,c3))")
+        if family is EXPONENTIAL:
+            models = [ComponentModel(family, rate=0.8)] * 3
+        else:
+            models = [ComponentModel(family, mu=0.4, sigma=0.7)] * 3
+        data = make_data(models, 8, 12)
+        grid = default_t_grid(1.0, 21)
+        curve = lcl_curve("dbpt", node, [family] * 3, data, grid, 0.1, 400, 150, 77)
+        scalar = [dbpt_lcl(node, [family] * 3, data, float(t), 0.1, 400, 150, rng=77).lcl
+                  for t in grid]
+        assert curve.tobytes() == np.array(scalar).tobytes()
+
+    def test_memory_stays_bounded(self):
+        # the unblocked layer held s full B x C arrays: about 290 MB here
+        node = parse_structure("series(c1,...,c16)")
+        models = [ComponentModel(WEIBULL, mu=1.0, sigma=0.7)] * 16
+        data = make_data(models, 10, 3)
+        tracemalloc.start()
+        try:
+            dbpt_lcl(node, [WEIBULL] * 16, data, 0.5, 0.1, B=1000, C=2000, rng=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+
+class TestDbptRanks:
+    def test_ranks_reproduce_the_selection(self):
+        models = [ComponentModel(WEIBULL, mu=1.0, sigma=0.7)] * 3
+        data = make_data(models, 10, 21)
+        B, C, alpha = 200, 100, 0.1
+        res = dbpt_lcl(SERIES3, [WEIBULL] * 3, data, 2.0, alpha, B, C, rng=8)
+        assert res.k == ceil_index(B * alpha)
+        assert 0 <= res.u_k <= C
+        assert res.k_prime == min(B, max(1, ceil_div(B * res.u_k, C)))
+        comps, _ = _fit_components(SERIES3, [WEIBULL] * 3, data, 2.0)
+        _, r_star, _ = _first_layer(comps, SERIES3, B, 8, False)
+        assert res.lcl == kth_smallest(r_star, res.k_prime)
+        diagnostics = res.to_dict()["diagnostics"]
+        assert (diagnostics["u_k"], diagnostics["k"], diagnostics["k_prime"]) == (
+            res.u_k, res.k, res.k_prime)
+
+    def test_absent_for_single_layer_methods(self):
+        models = [ComponentModel(WEIBULL, mu=1.0, sigma=0.7)] * 3
+        data = make_data(models, 10, 21)
+        res = bp_lcl(SERIES3, [WEIBULL] * 3, data, 2.0, 0.1, 200, rng=8)
+        assert (res.u_k, res.k, res.k_prime) == (None, None, None)
+        assert res.to_dict()["diagnostics"] == {"boundary_hits": res.boundary_hits,
+                                                "ties": res.ties}

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +10,17 @@ import pytest
 from relbound.cli import dumps, main
 
 REPO = Path(__file__).resolve().parent.parent
+SRC = str(REPO / "src")
 
 
 def run_cli(args, cwd=None):
+    # the absolute src path lets the subprocess import relbound from any cwd,
+    # installed or not
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
     return subprocess.run(
         [sys.executable, "-m", "relbound.cli", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=env,
     )
 
 
@@ -239,7 +245,7 @@ class TestOtherCommands:
             [sys.executable, "-m", "relbound.cli", "simulate", str(cfg),
              "--out", str(tmp_path / "o")],
             capture_output=True, text=True,
-            env={"RELBOUND_THREADS": "2", "PATH": "/usr/bin:/bin"},
+            env={"RELBOUND_THREADS": "2", "PATH": "/usr/bin:/bin", "PYTHONPATH": SRC},
         )
         assert proc.returncode == 0, proc.stderr
 
