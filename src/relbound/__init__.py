@@ -7,7 +7,7 @@ bootstrap-percentile, basic-bootstrap and conventional double-bootstrap
 baselines, with a Monte Carlo harness for coverage studies.
 """
 
-from .bootstrap import LclResult, bb_lcl, bp_lcl, dbp_lcl_oracle, dbpt_lcl
+from .bootstrap import LclResult, bb_lcl, bootstrap_curve, bp_lcl, dbp_lcl_oracle, dbpt_lcl
 from .censoring import CensoredDataset, censored_loglik, censoring_count, impute, type2_censor
 from .distributions import (
     EXPONENTIAL,
@@ -39,6 +39,7 @@ from .errors import (
 from .estimators import (
     MleEstimate,
     MomentEstimate,
+    delta_curve,
     delta_lcl,
     fisher_information,
     mle_fit,
@@ -51,6 +52,7 @@ from .simulation import (
     CoverageReport,
     MethodCell,
     StudyConfig,
+    bend_back_violations,
     compute_lcl,
     default_t_grid,
     detect_bend_back,
@@ -70,6 +72,7 @@ from .structures import (
     component_counts,
     eval_reliability,
     eval_reliability_bruteforce,
+    eval_structure,
     num_components,
     parse_structure,
     structure_partials,

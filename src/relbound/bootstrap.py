@@ -11,11 +11,17 @@ standardized-quantile scale (log-reliability scale for exponentials), where
 the nested transform is a plain affine map, and probabilities are
 materialized only to evaluate the structure function.
 
+Every layer is computed over a 1-D array of G mission times.  The auxiliary
+statistics (the resampled datasets, for the oracle) are drawn once and
+shared by all G times, so :func:`bootstrap_curve` is the LCL-versus-time
+curve under common random numbers, and ``bp_lcl``, ``bb_lcl``, ``dbpt_lcl``
+and ``dbp_lcl_oracle`` are its one-point case: at a fixed seed, the curve at
+t equals the scalar LCL at t bit for bit.
+
 The dbpt second layer (B first-layer rows times C shared auxiliary pairs per
-component) is evaluated in blocks of first-layer rows through preallocated
-buffers, so its working memory is O(s * rows * C) with rows * C near 2**15,
-whatever B is.  ``dbpt_lcl`` and the LCL-versus-time curve share that one
-kernel.
+component) is evaluated one time at a time, in blocks of first-layer rows
+through preallocated buffers, so its working memory is O(s * rows * C) with
+rows * C near 2**15, whatever B is.
 """
 
 from __future__ import annotations
@@ -25,139 +31,144 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import Exponential, LifetimeFamily
+from .censoring import impute, type2_censor
+from .distributions import Exponential, Generic, LifetimeFamily
 from .errors import EstimationError
-from .estimators import moment_estimate
+from .estimators import MomentEstimate, moment_estimate
 from .rng import generator, seed_entropy
 from .resampling import gen_aux_batch, transform_logr, transform_w
 from .results import LclResult, make_result
 from .selection import ceil_div, ceil_index, kth_smallest
-from .structures import StructureNode, _eval, num_components
+from .structures import StructureNode, eval_structure, num_components
 
-__all__ = ["LclResult", "bp_lcl", "bb_lcl", "dbpt_lcl", "dbp_lcl_oracle"]
+__all__ = ["LclResult", "bp_lcl", "bb_lcl", "dbpt_lcl", "dbp_lcl_oracle", "bootstrap_curve"]
 
 _LAYER_ONE = 1
 _LAYER_TWO = 2
+_METHODS = ("bp", "bb", "dbpt", "dbp")
+_TWO_LAYER = ("dbpt", "dbp")
 
 
 @dataclass
 class _Fitted:
     family: LifetimeFamily
-    estimate: object
+    estimate: MomentEstimate
     n: int
     is_exp: bool
-    base: float  # w0 = (log t - mu)/sigma, or log r for exponentials
-    r_hat: float
+    params: dict  # the fitted mu and sigma, or rate for exponentials
+
+    def base(self, t, params=None):
+        """w = (log t - mu)/sigma at times ``t``, or log r = -rate*t for exponentials.
+
+        ``params`` swaps the fitted parameters for resampled ones, as arrays
+        that broadcast against ``t``.
+        """
+        p = self.params if params is None else params
+        if self.is_exp:
+            return -p["rate"] * t
+        return (np.log(t) - p["mu"]) / p["sigma"]
+
+    def sf(self, vals):
+        """Reliability from scale values."""
+        return np.exp(vals) if self.is_exp else self.family.sf(vals)
 
 
-def _fit_components(structure, families, datasets, t):
+@dataclass
+class _Outcome:
+    """One bootstrap run; every field holds one entry per mission time."""
+
+    raw: np.ndarray
+    ranks: list | None  # (u_k, k, k_prime), double bootstraps only
+    r_hat: np.ndarray
+    boundary_hits: np.ndarray
+    ties: np.ndarray
+
+
+def _check(structure, families, datasets, alpha, B, C=None):
+    """Input checks shared by the scalar LCLs and the curve; ``C`` is the two-layer size."""
     s = num_components(structure)
-    if len(families) != s or len(datasets) != s:
-        raise ValueError(f"structure has {s} components; families/datasets must match")
-    t = float(t)
-    if t <= 0:
-        raise ValueError("mission time t must be > 0")
-    comps = []
-    for family, data in zip(families, datasets):
-        est = moment_estimate(family, data)
-        if isinstance(family, Exponential):
-            base = -est.rate_hat * t
-            r_hat = float(np.exp(base))
-            comps.append(_Fitted(family, est, est.n, True, base, r_hat))
-        else:
-            base = (np.log(t) - est.mu_hat) / est.sigma_hat
-            r_hat = float(family.sf(base))
-            comps.append(_Fitted(family, est, est.n, False, base, r_hat))
-    r_system = float(_eval(structure, [c.r_hat for c in comps]))
-    return comps, r_system
-
-
-def _materialize(comp: _Fitted, vals: np.ndarray) -> np.ndarray:
-    return np.exp(vals) if comp.is_exp else comp.family.sf(vals)
-
-
-def _boundary_hits(r: np.ndarray) -> int:
-    return int(((r == 0.0) | (r == 1.0)).sum())
-
-
-def _layer_values(comp: _Fitted, base, size: int, rng, paper_literal: bool):
-    """One transform layer: returns the new scale values and the aux pair."""
-    z_bar, m = gen_aux_batch(comp.family, comp.n, size, rng, paper_literal)
-    if comp.is_exp:
-        return transform_logr(base, m), (z_bar, m)
-    return transform_w(comp.family, base, z_bar, m), (z_bar, m)
-
-
-def _first_layer(comps, structure, B, rng, paper_literal):
-    vals_list, r_list, hits = [], [], 0
-    for i, comp in enumerate(comps):
-        vals, _ = _layer_values(comp, comp.base, B, generator(rng, _LAYER_ONE, i), paper_literal)
-        r = _materialize(comp, vals)
-        hits += _boundary_hits(r)
-        vals_list.append(vals)
-        r_list.append(r)
-    r_star = np.asarray(_eval(structure, r_list))
-    return vals_list, r_star, hits
-
-
-def _check_common(structure, alpha, B):
-    num_components(structure)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
     if B < ceil_index(1.0 / alpha):
         raise ValueError(f"B must be at least ceil(1/alpha) = {ceil_index(1.0 / alpha)}")
+    if C is not None and C < 1:
+        raise ValueError("C must be >= 1")
+    if len(families) != s or len(datasets) != s:
+        raise ValueError(f"structure has {s} components; families/datasets must match")
 
 
-def bp_lcl(structure: StructureNode, families, datasets, t, alpha: float = 0.1,
-           B: int = 1000, rng=None, *, paper_literal_aux: bool = False) -> LclResult:
-    """Bootstrap percentile LCL: the ceil(B*alpha)-th smallest bootstrap reliability.
+def _times(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError("t_grid must be a non-empty 1-D array")
+    if np.any(t <= 0):
+        raise ValueError("mission time t must be > 0")
+    return t
 
-    Bootstrap reliabilities are generated through the auxiliary transform,
-    which is identical in law to resampling each component dataset from its
-    fitted model and re-estimating.
+
+def _fit_components(families, datasets):
+    comps = []
+    for family, data in zip(families, datasets):
+        est = moment_estimate(family, data)
+        is_exp = isinstance(family, Exponential)
+        params = {"rate": est.rate_hat} if is_exp else {"mu": est.mu_hat, "sigma": est.sigma_hat}
+        comps.append(_Fitted(family, est, est.n, is_exp, params))
+    return comps
+
+
+def _r_hat(structure, comps, t) -> np.ndarray:
+    """Plug-in system reliability at each time."""
+    return np.asarray(eval_structure(structure, [c.sf(c.base(t)) for c in comps]))
+
+
+def _boundary_hits(r: np.ndarray, axis=None):
+    return np.count_nonzero((r == 0.0) | (r == 1.0), axis=axis)
+
+
+def _draw_aux(comps, size, rng, layer, paper_literal):
+    """``size`` auxiliary pairs per component, component i from stream (layer, i)."""
+    return [gen_aux_batch(c.family, c.n, size, generator(rng, layer, i), paper_literal)
+            for i, c in enumerate(comps)]
+
+
+def _first_layer(structure, comps, t, aux):
+    """The transformed first layer at every time.
+
+    Returns ``(vals, r_star, hits)``: per component the (B, G) scale values,
+    the (B, G) system values, and per time the component values equal to 0
+    or 1.
     """
-    _check_common(structure, alpha, B)
-    comps, r_hat = _fit_components(structure, families, datasets, t)
-    _, r_star, hits = _first_layer(comps, structure, B, rng, paper_literal_aux)
-    k = ceil_index(B * alpha)
-    lcl = kth_smallest(r_star, k)
-    return make_result(
-        "bp", lcl, r_hat, t, alpha, B=B, seed=seed_entropy(rng),
-        boundary_hits=hits, ties=int((r_star == lcl).sum()) - 1,
-        component_estimates=[c.estimate.summary() for c in comps],
-    )
-
-
-def bb_lcl(structure: StructureNode, families, datasets, t, alpha: float = 0.1,
-           B: int = 1000, rng=None, *, paper_literal_aux: bool = False) -> LclResult:
-    """Basic bootstrap LCL: 2*R_hat - (ceil(B*(1-alpha))-th smallest bootstrap value).
-
-    The raw value may leave [0, 1]; it is reported as-is with the
-    ``fell_outside`` flag and a clamped companion.
-    """
-    _check_common(structure, alpha, B)
-    comps, r_hat = _fit_components(structure, families, datasets, t)
-    _, r_star, hits = _first_layer(comps, structure, B, rng, paper_literal_aux)
-    upper = kth_smallest(r_star, ceil_index(B * (1.0 - alpha)))
-    raw = 2.0 * r_hat - upper
-    return make_result(
-        "bb", raw, r_hat, t, alpha, percentile=False, B=B, seed=seed_entropy(rng),
-        boundary_hits=hits, ties=int((r_star == upper).sum()) - 1,
-        component_estimates=[c.estimate.summary() for c in comps],
-    )
+    vals_list, r_list, hits = [], [], 0
+    for comp, (z_bar, m) in zip(comps, aux):
+        base, z_bar, m = comp.base(t)[None, :], z_bar[:, None], m[:, None]
+        if comp.is_exp:
+            vals = transform_logr(base, m)
+        else:
+            vals = transform_w(comp.family, base, z_bar, m)
+        # a caller-supplied sf may overwrite its input, and vals feed layer two
+        r = comp.sf(vals.copy() if isinstance(comp.family, Generic) else vals)
+        hits = hits + _boundary_hits(r, axis=0)
+        vals_list.append(vals)
+        r_list.append(r)
+    return vals_list, np.asarray(eval_structure(structure, r_list)), hits
 
 
 def _select_dbpt(r_star: np.ndarray, u_counts: np.ndarray, B: int, C: int, alpha: float):
-    """Shared final selection: k = ceil(B*alpha), k' = ceil(B * u_(k)) clamped to [1, B].
+    """Shared final selection, per time: k = ceil(B*alpha), k' = ceil(B * u_(k)) clamped to [1, B].
 
-    u values are carried as integer counts out of C so the index arithmetic
-    is exact.  k' = 0 can occur when u_(k) = 0; clamping to 1 returns the
-    smallest first-layer value, the conservative direction.
+    ``r_star`` and ``u_counts`` are (B, G).  u values are carried as integer
+    counts out of C so the index arithmetic is exact.  k' = 0 can occur when
+    u_(k) = 0; clamping to 1 returns the smallest first-layer value, the
+    conservative direction.  Returns the (G,) LCLs and a (u_k, k, k') triple
+    per time.
     """
     k = ceil_index(B * alpha)
-    u_k = int(np.partition(u_counts, k - 1)[k - 1])
-    k_prime = min(B, max(1, ceil_div(B * u_k, C)))
-    return kth_smallest(r_star, k_prime), u_k, k, k_prime
+    lcl, ranks = np.empty(r_star.shape[1]), []
+    for g, u_k in enumerate(kth_smallest(u_counts, k, axis=0).tolist()):
+        k_prime = min(B, max(1, ceil_div(B * u_k, C)))
+        lcl[g] = kth_smallest(r_star[:, g], k_prime)
+        ranks.append((u_k, k, k_prime))
+    return lcl, ranks
 
 
 # Elements per second-layer block: rows * C stays near 2**15 doubles (256 KiB),
@@ -205,11 +216,81 @@ def _second_layer(structure, comps, vals1, aux2, r_hat, diagnostics=True):
             if diagnostics:
                 hits += _boundary_hits(r2)
             r2_list.append(r2)
-        r_2star = np.asarray(_eval(structure, r2_list))
+        r_2star = np.asarray(eval_structure(structure, r2_list))
         u_counts[lo:hi] = np.count_nonzero(r_2star <= r_hat, axis=1)
         if diagnostics:
             ties += int(np.count_nonzero(r_2star == r_hat))
     return u_counts, hits, ties
+
+
+def _transformed(method, structure, comps, t, r_hat, alpha, B, C, rng, paper_literal,
+                 diagnostics) -> _Outcome:
+    """bp, bb or dbpt at every time in ``t``, from auxiliary draws made once."""
+    vals1, r_star, hits = _first_layer(structure, comps, t,
+                                       _draw_aux(comps, B, rng, _LAYER_ONE, paper_literal))
+    if method in ("bp", "bb"):
+        q = alpha if method == "bp" else 1.0 - alpha
+        chosen = kth_smallest(r_star, ceil_index(B * q), axis=0)
+        ties = np.count_nonzero(r_star == chosen, axis=0) - 1
+        raw = chosen if method == "bp" else 2.0 * r_hat - chosen
+        return _Outcome(raw, None, r_hat, hits, ties)
+    aux2 = _draw_aux(comps, C, rng, _LAYER_TWO, paper_literal)
+    u_counts = np.empty(r_star.shape, dtype=np.int64)
+    ties = np.zeros(t.size, dtype=np.int64)
+    for g in range(t.size):
+        u_counts[:, g], hits2, ties[g] = _second_layer(
+            structure, comps, [v[:, g] for v in vals1], aux2, r_hat[g], diagnostics)
+        hits[g] += hits2
+    return _Outcome(*_select_dbpt(r_star, u_counts, B, C, alpha), r_hat, hits, ties)
+
+
+def _run(method, structure, families, datasets, t, alpha, B, C, rng, paper_literal,
+         diagnostics=True, recensor_n_tilde=None):
+    """Check, fit and run ``method`` at every time in ``t``; returns (comps, outcome)."""
+    _check(structure, families, datasets, alpha, B, C if method in _TWO_LAYER else None)
+    t = _times(t)
+    comps = _fit_components(families, datasets)
+    r_hat = _r_hat(structure, comps, t)
+    if method == "dbp":
+        return comps, _nested(structure, comps, t, r_hat, alpha, B, C, rng, recensor_n_tilde)
+    return comps, _transformed(method, structure, comps, t, r_hat, alpha, B, C, rng,
+                               paper_literal, diagnostics)
+
+
+def _lcl(method, structure, families, datasets, t, alpha, B, C, rng,
+         paper_literal=False, recensor_n_tilde=None) -> LclResult:
+    """A scalar LCL: the one-point case of the curve, with its diagnostics."""
+    comps, out = _run(method, structure, families, datasets, [float(t)], alpha, B, C, rng,
+                      paper_literal, recensor_n_tilde=recensor_n_tilde)
+    return make_result(
+        method, out.raw[0], out.r_hat[0], t, alpha, percentile=method != "bb",
+        B=B, C=C, seed=seed_entropy(rng), boundary_hits=out.boundary_hits[0],
+        ties=out.ties[0], ranks=out.ranks[0] if out.ranks else (None, None, None),
+        component_estimates=[c.estimate.summary() for c in comps],
+    )
+
+
+def bp_lcl(structure: StructureNode, families, datasets, t, alpha: float = 0.1,
+           B: int = 1000, rng=None, *, paper_literal_aux: bool = False) -> LclResult:
+    """Bootstrap percentile LCL: the ceil(B*alpha)-th smallest bootstrap reliability.
+
+    Bootstrap reliabilities are generated through the auxiliary transform,
+    which is identical in law to resampling each component dataset from its
+    fitted model and re-estimating.
+    """
+    return _lcl("bp", structure, families, datasets, t, alpha, B, None, rng,
+                paper_literal_aux)
+
+
+def bb_lcl(structure: StructureNode, families, datasets, t, alpha: float = 0.1,
+           B: int = 1000, rng=None, *, paper_literal_aux: bool = False) -> LclResult:
+    """Basic bootstrap LCL: 2*R_hat - (ceil(B*(1-alpha))-th smallest bootstrap value).
+
+    The raw value may leave [0, 1]; it is reported as-is with the
+    ``fell_outside`` flag and a clamped companion.
+    """
+    return _lcl("bb", structure, families, datasets, t, alpha, B, None, rng,
+                paper_literal_aux)
 
 
 def dbpt_lcl(structure: StructureNode, families, datasets, t, alpha: float = 0.1,
@@ -223,23 +304,26 @@ def dbpt_lcl(structure: StructureNode, families, datasets, t, alpha: float = 0.1
     the point estimate (ties count as covered), and the u_(ceil(B*alpha))
     quantile recalibrates the percentile rank.
     """
-    _check_common(structure, alpha, B)
-    if C < 1:
-        raise ValueError("C must be >= 1")
-    comps, r_hat = _fit_components(structure, families, datasets, t)
-    vals1, r_star, hits = _first_layer(comps, structure, B, rng, paper_literal_aux)
+    return _lcl("dbpt", structure, families, datasets, t, alpha, B, C, rng,
+                paper_literal_aux)
 
-    aux2 = [gen_aux_batch(comp.family, comp.n, C, generator(rng, _LAYER_TWO, i),
-                          paper_literal_aux)
-            for i, comp in enumerate(comps)]
-    u_counts, hits2, ties = _second_layer(structure, comps, vals1, aux2, r_hat)
-    hits += hits2
-    lcl, u_k, k, k_prime = _select_dbpt(r_star, u_counts, B, C, alpha)
-    return make_result(
-        "dbpt", lcl, r_hat, t, alpha, B=B, C=C, seed=seed_entropy(rng),
-        boundary_hits=hits, ties=ties, ranks=(u_k, k, k_prime),
-        component_estimates=[c.estimate.summary() for c in comps],
-    )
+
+def bootstrap_curve(method: str, structure: StructureNode, families, datasets, t_grid,
+                    alpha: float = 0.1, B: int = 1000, C: int = 500, rng=None, *,
+                    paper_literal_aux: bool = False) -> np.ndarray:
+    """LCL of ``method`` (bp, bb, dbpt or dbp) at every time of ``t_grid``.
+
+    The auxiliary draws (the resampled datasets, for dbp) are made once with
+    the scalar method's generator keys and shared by every time, so entry g
+    equals the scalar method's ``raw_value`` at ``t_grid[g]`` with the same
+    ``rng``, bit for bit.  Inputs are checked as the scalar method checks
+    them; ``C`` is used only by dbpt and dbp.
+    """
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    _, out = _run(method, structure, families, datasets, t_grid, alpha, B, C, rng,
+                  paper_literal_aux, diagnostics=False)
+    return out.raw
 
 
 # --- conventional nested double bootstrap (oracle) --------------------------
@@ -249,22 +333,6 @@ def _sample_matrix(family, shape, rng, mu=None, sigma=None, rate=None):
     if rate is not None:
         return rng.standard_exponential(shape) / rate
     return np.exp(mu + sigma * family.sample_standardized(shape, rng))
-
-
-def _moment_reliability_rows(family, x: np.ndarray, t: float) -> np.ndarray:
-    """Moment-based reliability at t for each row of the sample matrix."""
-    n = x.shape[-1]
-    if isinstance(family, Exponential):
-        rate = n / x.sum(axis=-1)
-        return np.exp(-rate * t)
-    logs = np.log(x)
-    xbar = logs.mean(axis=-1)
-    s = logs.std(axis=-1, ddof=1)
-    if np.any(s == 0.0):
-        raise EstimationError("degenerate resample: all log lifetimes identical")
-    sigma = s / family.kappa2
-    mu = xbar - family.kappa1 * sigma
-    return family.sf((np.log(t) - mu) / sigma)
 
 
 def _moment_params_rows(family, x: np.ndarray):
@@ -280,6 +348,50 @@ def _moment_params_rows(family, x: np.ndarray):
     return {"mu": xbar - family.kappa1 * sigma, "sigma": sigma}
 
 
+def _resampled_params(comp, params, rows, rng, n_tilde):
+    """Moment estimates of ``rows`` datasets drawn from the component at ``params``.
+
+    With ``n_tilde`` set, each dataset is Type-II censored and imputed first.
+    """
+    x = _sample_matrix(comp.family, (rows, comp.n), rng, **params)
+    if n_tilde is not None:
+        x = np.stack([impute(comp.family, type2_censor(row, n_tilde)) for row in x])
+    return _moment_params_rows(comp.family, x)
+
+
+def _system_at(structure, comps, params, t) -> np.ndarray:
+    """(rows, G) system reliability of per-component rows of resampled parameters."""
+    return np.asarray(eval_structure(structure, [
+        c.sf(c.base(t, {k: v[:, None] for k, v in p.items()}))
+        for c, p in zip(comps, params)]))
+
+
+def _nested(structure, comps, t, r_hat, alpha, B, C, rng, recensor_n_tilde=None) -> _Outcome:
+    """dbp at every time in ``t``; the resampled parameters are drawn once.
+
+    Each first-layer row's C second-layer estimates are evaluated at all G
+    times before the next row is drawn, so memory is O(C * G), not O(B * C).
+    """
+    if recensor_n_tilde is not None and len(recensor_n_tilde) != len(comps):
+        raise ValueError("recensor_n_tilde must give one count per component")
+    n_tilde = recensor_n_tilde if recensor_n_tilde is not None else [None] * len(comps)
+    star = [_resampled_params(c, c.params, B, generator(rng, _LAYER_ONE, i), n_tilde[i])
+            for i, c in enumerate(comps)]
+    r_star = _system_at(structure, comps, star, t)
+
+    rng2 = [generator(rng, _LAYER_TWO, i) for i in range(len(comps))]
+    u_counts = np.empty(r_star.shape, dtype=np.int64)
+    ties = np.zeros(t.size, dtype=np.int64)
+    for j in range(B):
+        twostar = [_resampled_params(c, {k: v[j] for k, v in p.items()}, C, rng2[i], n_tilde[i])
+                   for i, (c, p) in enumerate(zip(comps, star))]
+        r_2star = _system_at(structure, comps, twostar, t)
+        u_counts[j] = np.count_nonzero(r_2star <= r_hat, axis=0)
+        ties += np.count_nonzero(r_2star == r_hat, axis=0)
+    return _Outcome(*_select_dbpt(r_star, u_counts, B, C, alpha), r_hat,
+                    np.zeros(t.size, dtype=np.int64), ties)
+
+
 def dbp_lcl_oracle(structure: StructureNode, families, datasets, t,
                    alpha: float = 0.1, B: int = 200, C: int = 100, rng=None, *,
                    recensor_n_tilde: Sequence[int] | None = None) -> LclResult:
@@ -291,57 +403,5 @@ def dbp_lcl_oracle(structure: StructureNode, families, datasets, t,
     censoring plus imputation to every resampled dataset, for sensitivity
     experiments on censored pipelines.
     """
-    _check_common(structure, alpha, B)
-    if C < 1:
-        raise ValueError("C must be >= 1")
-    comps, r_hat = _fit_components(structure, families, datasets, t)
-    t = float(t)
-
-    completer = None
-    if recensor_n_tilde is not None:
-        from .censoring import impute, type2_censor
-
-        if len(recensor_n_tilde) != len(comps):
-            raise ValueError("recensor_n_tilde must give one count per component")
-
-        def completer(family, rows, n_tilde):
-            return np.stack([impute(family, type2_censor(row, n_tilde)) for row in rows])
-
-    star_params = []
-    r_star_comp = []
-    for i, comp in enumerate(comps):
-        rng1 = generator(rng, _LAYER_ONE, i)
-        est = comp.estimate
-        x_star = _sample_matrix(
-            comp.family, (B, comp.n), rng1,
-            mu=est.mu_hat, sigma=est.sigma_hat, rate=est.rate_hat,
-        )
-        if completer is not None:
-            x_star = completer(comp.family, x_star, recensor_n_tilde[i])
-        star_params.append(_moment_params_rows(comp.family, x_star))
-        r_star_comp.append(_moment_reliability_rows(comp.family, x_star, t))
-    r_star = np.asarray(_eval(structure, r_star_comp))
-
-    rng2 = [generator(rng, _LAYER_TWO, i) for i in range(len(comps))]
-    u_counts = np.empty(B, dtype=np.int64)
-    ties = 0
-    for j in range(B):
-        r_2star_comp = []
-        for i, comp in enumerate(comps):
-            params = star_params[i]
-            kwargs = ({"rate": params["rate"][j]} if comp.is_exp
-                      else {"mu": params["mu"][j], "sigma": params["sigma"][j]})
-            x_2star = _sample_matrix(comp.family, (C, comp.n), rng2[i], **kwargs)
-            if completer is not None:
-                x_2star = completer(comp.family, x_2star, recensor_n_tilde[i])
-            r_2star_comp.append(_moment_reliability_rows(comp.family, x_2star, t))
-        r_2star = np.asarray(_eval(structure, r_2star_comp))
-        u_counts[j] = int((r_2star <= r_hat).sum())
-        ties += int((r_2star == r_hat).sum())
-
-    lcl, u_k, k, k_prime = _select_dbpt(r_star, u_counts, B, C, alpha)
-    return make_result(
-        "dbp", lcl, r_hat, t, alpha, B=B, C=C, seed=seed_entropy(rng),
-        boundary_hits=0, ties=ties, ranks=(u_k, k, k_prime),
-        component_estimates=[c.estimate.summary() for c in comps],
-    )
+    return _lcl("dbp", structure, families, datasets, t, alpha, B, C, rng,
+                recensor_n_tilde=recensor_n_tilde)

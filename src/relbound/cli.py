@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .censoring import CensoredDataset
+from .censoring import CensoredDataset, impute
 from .distributions import family_from_name
 from .errors import (
     BoundaryError,
@@ -31,7 +31,9 @@ from .errors import (
     StructureParseError,
 )
 from .simulation import (
+    DELTA_METHODS,
     StudyConfig,
+    bend_back_violations,
     compute_lcl,
     default_t_grid,
     lcl_curve,
@@ -197,20 +199,17 @@ def _load_request(path: str, args) -> dict:
     }
 
 
-def _prepare_method_data(req):
-    """Bootstrap methods consume imputed complete data; delta keeps the masks."""
-    from .censoring import impute
+def _method_data(req):
+    """The data and censoring masks the request's method consumes.
 
-    any_censored = any(f.any() for f in req["flags"])
-    if not any_censored:
-        return req["times"], req["times"], None
-    boot = []
-    for family, times, flags in zip(req["families"], req["times"], req["flags"]):
-        if flags.any():
-            boot.append(impute(family, CensoredDataset(times, flags)))
-        else:
-            boot.append(times)
-    return boot, req["times"], req["flags"]
+    Bootstrap methods consume imputed complete data; delta keeps the censored
+    times and their masks.
+    """
+    censored = any(f.any() for f in req["flags"])
+    if req["method"] in DELTA_METHODS:
+        return req["times"], req["flags"] if censored else None
+    return [impute(family, CensoredDataset(times, flags)) if flags.any() else times
+            for family, times, flags in zip(req["families"], req["times"], req["flags"])], None
 
 
 # --- commands ----------------------------------------------------------------
@@ -218,14 +217,11 @@ def _prepare_method_data(req):
 
 def cmd_lcl(args) -> int:
     req = _load_request(args.request, args)
-    boot_data, delta_data, masks = _prepare_method_data(req)
-    is_delta = req["method"] in ("delta", "delta-standard")
+    data, masks = _method_data(req)
     result = compute_lcl(
-        req["method"], req["node"], req["families"],
-        delta_data if is_delta else boot_data,
+        req["method"], req["node"], req["families"], data,
         req["t"], req["alpha"], req["B"], req["C"], req["seed"],
-        paper_literal_aux=req["paper_literal_aux"],
-        censored_masks=masks if is_delta else None,
+        paper_literal_aux=req["paper_literal_aux"], censored_masks=masks,
     )
     sys.stdout.write(dumps(result.to_dict()))
     return 0
@@ -254,8 +250,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_bendback_scan(args) -> int:
     req = _load_request(args.request, args)
-    boot_data, delta_data, masks = _prepare_method_data(req)
-    is_delta = req["method"] in ("delta", "delta-standard")
+    data, masks = _method_data(req)
     if args.t_min is not None and args.t_max is not None:
         if not 0 < args.t_min < args.t_max:
             raise ValueError("need 0 < t-min < t-max")
@@ -263,13 +258,11 @@ def cmd_bendback_scan(args) -> int:
     else:
         grid = default_t_grid(req["t"], args.points, args.decades)
     curve = lcl_curve(
-        req["method"], req["node"], req["families"],
-        delta_data if is_delta else boot_data, grid,
+        req["method"], req["node"], req["families"], data, grid,
         req["alpha"], req["B"], req["C"], req["seed"],
-        paper_literal_aux=req["paper_literal_aux"],
-        censored_masks=masks if is_delta else None,
+        paper_literal_aux=req["paper_literal_aux"], censored_masks=masks,
     )
-    violations = int(np.sum(curve[1:] > curve[:-1] + 1e-12))
+    violations = bend_back_violations(curve)
     sys.stdout.write(dumps({
         "method": req["method"],
         "violations": violations,

@@ -41,6 +41,7 @@ __all__ = [
     "fisher_information",
     "observed_information",
     "delta_lcl",
+    "delta_curve",
 ]
 
 
@@ -434,6 +435,19 @@ def _delta_raw(structure, fitted, t, alpha, form) -> tuple:
     return raw, r_system
 
 
+def _delta_at(structure, families, datasets, times, alpha, form, censored_masks):
+    """One MLE fit, then ``(raw, r_hat)`` at each time; the checks of ``delta_lcl``."""
+    if not 0.0 < alpha <= 0.5:
+        raise ValueError("alpha must lie in (0, 0.5]")
+    if form not in ("paper", "standard"):
+        raise ValueError("form must be 'paper' or 'standard'")
+    s = num_components(structure)
+    if len(families) != s or len(datasets) != s:
+        raise ValueError(f"structure has {s} components; families/datasets must match")
+    fitted = _delta_fit(families, datasets, censored_masks)
+    return fitted, [_delta_raw(structure, fitted, t, alpha, form) for t in times]
+
+
 def delta_lcl(structure: StructureNode, families: Sequence[LifetimeFamily],
               datasets, t: float, alpha: float = 0.1, *, form: str = "paper",
               censored_masks=None) -> LclResult:
@@ -448,17 +462,23 @@ def delta_lcl(structure: StructureNode, families: Sequence[LifetimeFamily],
     default, which reproduces the reference falling-outside behaviour) or the
     textbook one-sided limit ``R - z*se`` ("standard").
     """
-    if not 0.0 < alpha <= 0.5:
-        raise ValueError("alpha must lie in (0, 0.5]")
-    if form not in ("paper", "standard"):
-        raise ValueError("form must be 'paper' or 'standard'")
-    s = num_components(structure)
-    if len(families) != s or len(datasets) != s:
-        raise ValueError(f"structure has {s} components; families/datasets must match")
-    fitted = _delta_fit(families, datasets, censored_masks)
-    raw, r_hat = _delta_raw(structure, fitted, t, alpha, form)
+    fitted, [(raw, r_hat)] = _delta_at(structure, families, datasets, [t], alpha, form,
+                                       censored_masks)
     method = "delta" if form == "paper" else "delta-standard"
     return make_result(
         method, raw, r_hat, t, alpha, percentile=False,
         component_estimates=[est.summary() for est, _ in fitted],
     )
+
+
+def delta_curve(structure: StructureNode, families: Sequence[LifetimeFamily],
+                datasets, t_grid, alpha: float = 0.1, *, form: str = "paper",
+                censored_masks=None) -> np.ndarray:
+    """Delta-method LCL at every time of ``t_grid``, from one set of MLE fits.
+
+    Entry g equals ``delta_lcl(..., t_grid[g], ...).raw_value``; inputs are
+    checked as ``delta_lcl`` checks them.
+    """
+    _, rows = _delta_at(structure, families, datasets, np.asarray(t_grid, dtype=float),
+                        alpha, form, censored_masks)
+    return np.array([raw for raw, _ in rows])

@@ -23,12 +23,19 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def kth_smallest(values: np.ndarray, k: int) -> float:
-    """k-th smallest element (1-based) by partial selection, not a full sort."""
+def kth_smallest(values: np.ndarray, k: int, axis=None):
+    """k-th smallest element (1-based) by partial selection, not a full sort.
+
+    With ``axis``, the k-th smallest along that axis, as an array over the
+    remaining axes.
+    """
     values = np.asarray(values)
-    if not 1 <= k <= values.size:
-        raise ValueError(f"rank {k} out of range for {values.size} values")
-    return float(np.partition(values, k - 1)[k - 1])
+    size = values.size if axis is None else values.shape[axis]
+    if not 1 <= k <= size:
+        raise ValueError(f"rank {k} out of range for {size} values")
+    if axis is None:
+        return float(np.partition(values, k - 1)[k - 1])
+    return np.partition(values, k - 1, axis=axis).take(k - 1, axis=axis)
 
 
 def empirical_quantile(values, q: float) -> float:

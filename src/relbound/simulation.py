@@ -5,6 +5,12 @@ empirical coverage, LCL quantiles, falling-outside and bend-back diagnostics,
 plus a runtime scaling probe comparing the transformed-resample double
 bootstrap against the conventional nested one.
 
+This module computes no LCL itself.  ``compute_lcl`` dispatches to the
+scalar methods of ``bootstrap`` and ``estimators``; ``lcl_curve`` checks the
+grid and dispatches to ``bootstrap.bootstrap_curve`` or
+``estimators.delta_curve``, whose value at each grid time is the scalar LCL
+there, bit for bit.
+
 Determinism contract: every replication derives its streams from
 (master seed, n index, replication index, method index) by explicit keys, so
 a study is bit-identical for a fixed seed regardless of the worker count.
@@ -26,19 +32,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .bootstrap import (
-    _eval,
-    _fit_components,
-    _materialize,
-    _moment_params_rows,
-    _sample_matrix,
-    _second_layer,
-    _select_dbpt,
-    bb_lcl,
-    bp_lcl,
-    dbp_lcl_oracle,
-    dbpt_lcl,
-)
+from .bootstrap import bb_lcl, bootstrap_curve, bp_lcl, dbp_lcl_oracle, dbpt_lcl
 from .censoring import censoring_count, impute, type2_censor
 from .distributions import (
     ComponentModel,
@@ -48,8 +42,7 @@ from .distributions import (
     sample_lifetimes,
 )
 from .errors import ConfigError, RelboundError
-from .estimators import _delta_fit, _delta_raw, delta_lcl
-from .resampling import gen_aux_batch
+from .estimators import delta_curve, delta_lcl
 from .rng import as_seedseq, child_seedseq, generator
 from .selection import ceil_index, empirical_quantile
 from .structures import StructureNode, eval_reliability, num_components, parse_structure
@@ -61,6 +54,7 @@ __all__ = [
     "compute_lcl",
     "lcl_curve",
     "detect_bend_back",
+    "bend_back_violations",
     "run_coverage_study",
     "lcl_quantile",
     "falling_outside_count",
@@ -70,6 +64,7 @@ __all__ = [
 ]
 
 METHODS = ("bp", "bb", "dbpt", "dbp", "delta", "delta-standard")
+DELTA_METHODS = ("delta", "delta-standard")
 
 
 # --- configuration ----------------------------------------------------------
@@ -113,6 +108,13 @@ class StudyConfig:
             raise ValueError(f"unknown methods {unknown}; choose from {list(METHODS)}")
         if not self.methods:
             raise ValueError("methods list is empty")
+        # the per-LCL checks, made here so that a study cannot die in replication 1
+        if set(self.methods) - set(DELTA_METHODS) and self.B < ceil_index(1.0 / self.alpha):
+            raise ValueError(f"B must be at least ceil(1/alpha) = {ceil_index(1.0 / self.alpha)}")
+        if {"dbpt", "dbp"} & set(self.methods) and self.C < 1:
+            raise ValueError("C must be >= 1")
+        if set(self.methods) & set(DELTA_METHODS) and self.alpha > 0.5:
+            raise ValueError("the delta methods need alpha in (0, 0.5]")
         if (self.components is None) == (self.target_reliability is None):
             raise ValueError(
                 "give either explicit 'components' or 'family' + 'target_reliability'"
@@ -296,109 +298,6 @@ def default_t_grid(t: float, points: int = 50, decades: float = 1.0) -> np.ndarr
     return np.logspace(math.log10(t) - half, math.log10(t) + half, points)
 
 
-def _bases_at(comps, t):
-    """Standardized-quantile (or log-reliability) scale values at time(s) t."""
-    t = np.asarray(t, dtype=float)
-    out = []
-    for comp in comps:
-        est = comp.estimate
-        if comp.is_exp:
-            out.append(-est.rate_hat * t)
-        else:
-            out.append((np.log(t) - est.mu_hat) / est.sigma_hat)
-    return out
-
-
-def _first_layer_at(comps, bases, aux):
-    vals_list, r_list = [], []
-    for comp, base, (z1, m1) in zip(comps, bases, aux):
-        if comp.is_exp:
-            vals = base / m1
-        else:
-            vals = (base - z1) * (comp.family.kappa2 / m1) + comp.family.kappa1
-        vals_list.append(vals)
-        r_list.append(_materialize(comp, vals))
-    return vals_list, r_list
-
-
-def _curve_percentile(node, comps, t_grid, alpha, B, seed, paper_literal, basic):
-    aux = [gen_aux_batch(c.family, c.n, B, generator(seed, 1, i), paper_literal)
-           for i, c in enumerate(comps)]
-    bases = _bases_at(comps, t_grid)
-    grid_aux = [(z1[:, None], m1[:, None]) for z1, m1 in aux]
-    grid_bases = [b[None, :] for b in bases]
-    _, r_list = _first_layer_at(comps, grid_bases, grid_aux)
-    r_star = np.asarray(_eval(node, r_list))  # (B, G)
-    if basic:
-        upper = np.partition(r_star, ceil_index(B * (1 - alpha)) - 1, axis=0)[
-            ceil_index(B * (1 - alpha)) - 1]
-        r_hat = np.asarray(_eval(node, [_materialize(c, b) for c, b in zip(comps, bases)]))
-        return 2.0 * r_hat - upper
-    k = ceil_index(B * alpha)
-    return np.partition(r_star, k - 1, axis=0)[k - 1]
-
-
-def _curve_dbpt(node, comps, t_grid, alpha, B, C, seed, paper_literal):
-    aux1 = [gen_aux_batch(c.family, c.n, B, generator(seed, 1, i), paper_literal)
-            for i, c in enumerate(comps)]
-    aux2 = [gen_aux_batch(c.family, c.n, C, generator(seed, 2, i), paper_literal)
-            for i, c in enumerate(comps)]
-    curve = np.empty(t_grid.size)
-    for g, t in enumerate(t_grid):
-        bases = _bases_at(comps, t)
-        vals1, r1 = _first_layer_at(comps, bases, aux1)
-        r_star = np.asarray(_eval(node, r1))
-        r_hat = float(_eval(node, [_materialize(c, b) for c, b in zip(comps, bases)]))
-        u_counts, _, _ = _second_layer(node, comps, vals1, aux2, r_hat, diagnostics=False)
-        curve[g], _, _, _ = _select_dbpt(r_star, u_counts, B, C, alpha)
-    return curve
-
-
-def _curve_dbp(node, comps, t_grid, alpha, B, C, seed):
-    # resampled parameter layers are time-independent, so draw them once
-    star_params, twostar_params = [], []
-    for i, comp in enumerate(comps):
-        est = comp.estimate
-        rng1 = generator(seed, 1, i)
-        x_star = _sample_matrix(comp.family, (B, comp.n), rng1,
-                                mu=est.mu_hat, sigma=est.sigma_hat, rate=est.rate_hat)
-        params = _moment_params_rows(comp.family, x_star)
-        star_params.append(params)
-        rng2 = generator(seed, 2, i)
-        if comp.is_exp:
-            rates = np.empty((B, C))
-            for j in range(B):
-                x2 = _sample_matrix(comp.family, (C, comp.n), rng2, rate=params["rate"][j])
-                rates[j] = _moment_params_rows(comp.family, x2)["rate"]
-            twostar_params.append({"rate": rates})
-        else:
-            mus = np.empty((B, C))
-            sigmas = np.empty((B, C))
-            for j in range(B):
-                x2 = _sample_matrix(comp.family, (C, comp.n), rng2,
-                                    mu=params["mu"][j], sigma=params["sigma"][j])
-                p2 = _moment_params_rows(comp.family, x2)
-                mus[j], sigmas[j] = p2["mu"], p2["sigma"]
-            twostar_params.append({"mu": mus, "sigma": sigmas})
-
-    def reliability(comp, params, t):
-        if comp.is_exp:
-            return np.exp(-params["rate"] * t)
-        return comp.family.sf((math.log(t) - params["mu"]) / params["sigma"])
-
-    curve = np.empty(t_grid.size)
-    for g, t in enumerate(t_grid):
-        bases = _bases_at(comps, t)
-        r_hat = float(_eval(node, [_materialize(c, b) for c, b in zip(comps, bases)]))
-        r_star = np.asarray(_eval(node, [reliability(c, p, t)
-                                         for c, p in zip(comps, star_params)]))
-        r_2star = np.asarray(_eval(node, [reliability(c, p, t)
-                                          for c, p in zip(comps, twostar_params)]))
-        u_counts = (r_2star <= r_hat).sum(axis=1)
-        curve[g], _, _, _ = _select_dbpt(r_star, u_counts, B, C, alpha)
-    return curve
-
-
 def lcl_curve(method: str, node: StructureNode, families, datasets, t_grid,
               alpha=0.1, B: int = 1000, C: int = 500, seed=None, *,
               paper_literal_aux=False, censored_masks=None) -> np.ndarray:
@@ -407,27 +306,27 @@ def lcl_curve(method: str, node: StructureNode, families, datasets, t_grid,
     All auxiliary draws (or dataset resamples for the oracle) are generated
     once from ``seed`` and reused across the grid, so the returned curve is a
     function of time only and monotonicity can be checked without bootstrap
-    noise.
+    noise.  Entry g is the ``raw_value`` of ``compute_lcl`` at ``t_grid[g]``
+    with the same seed, and the inputs ``compute_lcl`` rejects are rejected
+    here with the same error.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:
         raise ValueError("t_grid needs at least 2 points")
     if np.any(np.diff(t_grid) <= 0.0) or np.any(t_grid <= 0.0):
         raise ValueError("t_grid must be positive and strictly increasing")
-    if method in ("delta", "delta-standard"):
-        fitted = _delta_fit(families, datasets, censored_masks)
+    if method in DELTA_METHODS:
         form = "paper" if method == "delta" else "standard"
-        return np.array([_delta_raw(node, fitted, t, alpha, form)[0] for t in t_grid])
-    comps, _ = _fit_components(node, families, datasets, float(t_grid[0]))
-    if method == "bp":
-        return _curve_percentile(node, comps, t_grid, alpha, B, seed, paper_literal_aux, False)
-    if method == "bb":
-        return _curve_percentile(node, comps, t_grid, alpha, B, seed, paper_literal_aux, True)
-    if method == "dbpt":
-        return _curve_dbpt(node, comps, t_grid, alpha, B, C, seed, paper_literal_aux)
-    if method == "dbp":
-        return _curve_dbp(node, comps, t_grid, alpha, B, C, seed)
-    raise ValueError(f"unknown method {method!r}")
+        return delta_curve(node, families, datasets, t_grid, alpha, form=form,
+                           censored_masks=censored_masks)
+    return bootstrap_curve(method, node, families, datasets, t_grid, alpha, B, C, seed,
+                           paper_literal_aux=paper_literal_aux)
+
+
+def bend_back_violations(curve) -> int:
+    """Grid-adjacent monotonicity violations: LCL(t_{k+1}) > LCL(t_k) + 1e-12."""
+    curve = np.asarray(curve)
+    return int(np.sum(curve[1:] > curve[:-1] + 1e-12))
 
 
 def detect_bend_back(method: str, node: StructureNode, families, datasets,
@@ -436,11 +335,12 @@ def detect_bend_back(method: str, node: StructureNode, families, datasets,
     """Count of grid-adjacent monotonicity violations of the LCL curve.
 
     A violation is LCL(t_{k+1}) > LCL(t_k) + 1e-12 under common random
-    numbers; a dataset exhibits bend-back when the count is positive.
+    numbers (see :func:`bend_back_violations`); a dataset exhibits bend-back
+    when the count is positive.
     """
     curve = lcl_curve(method, node, families, datasets, t_grid, alpha, B, C, seed,
                       paper_literal_aux=paper_literal_aux, censored_masks=censored_masks)
-    return int(np.sum(curve[1:] > curve[:-1] + 1e-12))
+    return bend_back_violations(curve)
 
 
 # --- aggregation helpers ------------------------------------------------------
@@ -573,7 +473,7 @@ def _one_replication(node, families, models, config: StudyConfig, master, ni, n,
 
     out = {}
     for mi, method in enumerate(config.methods):
-        is_delta = method in ("delta", "delta-standard")
+        is_delta = method in DELTA_METHODS
         data = delta_data if is_delta else boot_data
         masks = delta_masks if is_delta else None
         seed_m = child_seedseq(rep_seed, 1 + mi)

@@ -37,6 +37,7 @@ __all__ = [
     "parse_structure",
     "num_components",
     "component_counts",
+    "eval_structure",
     "eval_reliability",
     "eval_reliability_bruteforce",
     "structure_partials",
@@ -256,15 +257,20 @@ def parse_structure(text: str) -> StructureNode:
 # --- evaluation ------------------------------------------------------------
 
 
-def _eval(node: StructureNode, r: Sequence) -> "np.ndarray | float":
+def eval_structure(node: StructureNode, r: Sequence) -> "np.ndarray | float":
     """Structure function over per-component values (scalars or broadcastable arrays).
+
+    The unchecked evaluator behind :func:`eval_reliability`, for hot paths
+    whose inputs are valid by construction: it neither validates the tree nor
+    checks that the values lie in [0, 1], and returns whatever type the
+    arithmetic yields.
 
     Sibling subtrees are treated as stochastically independent, so the
     recursion is exact whenever no component index appears more than once.
     """
     if isinstance(node, ComponentRef):
         return r[node.index]
-    vals = [_eval(child, r) for child in node.children]
+    vals = [eval_structure(child, r) for child in node.children]
     if isinstance(node, Series):
         out = vals[0]
         for v in vals[1:]:
@@ -309,7 +315,7 @@ def eval_reliability(node: StructureNode, r) -> "float | np.ndarray":
     independent.
     """
     values = _check_reliabilities(node, r)
-    out = _eval(node, values)
+    out = eval_structure(node, values)
     if all(np.ndim(v) == 0 for v in values):
         return float(out)
     return np.asarray(out)
@@ -366,5 +372,5 @@ def structure_partials(node: StructureNode, r) -> np.ndarray:
         lo = list(base)
         hi[i] = 1.0
         lo[i] = 0.0
-        partials[i] = _eval(node, hi) - _eval(node, lo)
+        partials[i] = eval_structure(node, hi) - eval_structure(node, lo)
     return partials

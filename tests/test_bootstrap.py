@@ -8,13 +8,14 @@ from scipy.stats import gamma, ks_2samp
 
 from relbound.bootstrap import (
     _boundary_hits,
-    _eval,
+    _draw_aux,
     _first_layer,
     _fit_components,
-    _materialize,
+    _r_hat,
     _second_layer,
     _select_dbpt,
     bb_lcl,
+    bootstrap_curve,
     bp_lcl,
     dbp_lcl_oracle,
     dbpt_lcl,
@@ -27,11 +28,10 @@ from relbound.distributions import (
     Generic,
     sample_lifetimes,
 )
-from relbound.resampling import gen_aux_batch
 from relbound.rng import child_seedseq, generator
 from relbound.selection import ceil_div, ceil_index, kth_smallest
-from relbound.simulation import default_t_grid, lcl_curve
-from relbound.structures import num_components, parse_structure
+from relbound.simulation import compute_lcl, default_t_grid, lcl_curve
+from relbound.structures import eval_structure, num_components, parse_structure
 
 SERIES3 = parse_structure("series(c1,c2,c3)")
 SINGLE = parse_structure("series(c1)")
@@ -39,6 +39,14 @@ SINGLE = parse_structure("series(c1)")
 
 def make_data(models, n, seed):
     return [sample_lifetimes(m, n, generator(seed, 0, i)) for i, m in enumerate(models)]
+
+
+def first_layer_at(structure, families, data, t, B, seed):
+    """The fitted components and the one-point first layer at time ``t``."""
+    comps = _fit_components(families, data)
+    vals, r_star, _ = _first_layer(structure, comps, np.array([t]),
+                                   _draw_aux(comps, B, seed, 1, False))
+    return comps, [v[:, 0] for v in vals], r_star[:, 0]
 
 
 class TestBp:
@@ -130,11 +138,7 @@ class TestBb:
 
 def _upper_stat(data, res):
     # recompute the ceil(B(1-alpha)) first-layer order statistic with the same seed
-    from relbound.bootstrap import _first_layer, _fit_components
-    from relbound.selection import ceil_index, kth_smallest
-
-    comps, _ = _fit_components(SERIES3, [WEIBULL] * 3, data, res.t)
-    _, r_star, _ = _first_layer(comps, SERIES3, res.B, 13, False)
+    _, _, r_star = first_layer_at(SERIES3, [WEIBULL] * 3, data, res.t, res.B, 13)
     return kth_smallest(r_star, ceil_index(res.B * (1 - res.alpha)))
 
 
@@ -142,21 +146,21 @@ class TestDbptSelection:
     def test_all_u_zero_clamps_to_minimum(self):
         r_star = np.array([0.3, 0.1, 0.5, 0.2, 0.4])
         u = np.zeros(5, dtype=int)
-        lcl, u_k, k, k_prime = _select_dbpt(r_star, u, B=5, C=1, alpha=0.2)
+        lcl, [(u_k, k, k_prime)] = _select_dbpt(r_star[:, None], u[:, None], B=5, C=1, alpha=0.2)
         assert k == 1 and u_k == 0 and k_prime == 1
-        assert lcl == 0.1
+        assert lcl[0] == 0.1
 
     def test_all_u_full_clamps_to_maximum(self):
         r_star = np.array([0.3, 0.1, 0.5, 0.2, 0.4])
         u = np.full(5, 4, dtype=int)
-        lcl, _, _, k_prime = _select_dbpt(r_star, u, B=5, C=4, alpha=0.2)
-        assert k_prime == 5 and lcl == 0.5
+        lcl, [(_, _, k_prime)] = _select_dbpt(r_star[:, None], u[:, None], B=5, C=4, alpha=0.2)
+        assert k_prime == 5 and lcl[0] == 0.5
 
     def test_exact_integer_rank_arithmetic(self):
         # B*u/C must not pick up float error: 1000 * 73 / 500 = 146 exactly
         r_star = np.linspace(0.0, 1.0, 1000)
         u = np.full(1000, 73, dtype=int)
-        _, _, _, k_prime = _select_dbpt(r_star, u, B=1000, C=500, alpha=0.1)
+        _, [(_, _, k_prime)] = _select_dbpt(r_star[:, None], u[:, None], B=1000, C=500, alpha=0.1)
         assert k_prime == 146
 
     def test_u_counts_non_increasing_as_r_hat_decreases(self):
@@ -236,9 +240,9 @@ class TestDbpOracle:
         # first-layer value, whatever the second layer said (the public
         # entry points reject B = 1 because B >= ceil(1/alpha) >= 2)
         for count in (0, 7, 20):
-            lcl, _, k, k_prime = _select_dbpt(np.array([0.42]), np.array([count]),
-                                              B=1, C=20, alpha=0.5)
-            assert k == 1 and k_prime == 1 and lcl == 0.42
+            lcl, [(_, k, k_prime)] = _select_dbpt(np.array([[0.42]]), np.array([[count]]),
+                                                  B=1, C=20, alpha=0.5)
+            assert k == 1 and k_prime == 1 and lcl[0] == 0.42
         with pytest.raises(ValueError):
             dbpt_lcl(SINGLE, [EXPONENTIAL], make_data(
                 [ComponentModel(EXPONENTIAL, rate=1.0)], 10, 42), 1.0, 0.9, 1, 20, rng=3)
@@ -317,10 +321,10 @@ def _unblocked_second_layer(structure, comps, vals1, aux2, r_hat):
         else:
             scale = comp.family.kappa2 / m2
             vals2 = (vals1[i][:, None] - z2[None, :]) * scale[None, :] + comp.family.kappa1
-        r2 = _materialize(comp, vals2)
+        r2 = comp.sf(vals2)
         hits += _boundary_hits(r2)
         r2_list.append(r2)
-    r_2star = np.asarray(_eval(structure, r2_list))
+    r_2star = np.asarray(eval_structure(structure, r2_list))
     return r_2star, (r_2star <= r_hat).sum(axis=1), hits, int((r_2star == r_hat).sum())
 
 
@@ -331,11 +335,10 @@ def _layers(structure, family, B, C, seed):
     else:
         models = [ComponentModel(family, mu=0.3, sigma=0.8)] * s
     # n = 5 at t = 0.7 pushes some second-layer values to exactly 0 or 1
-    comps, r_hat = _fit_components(structure, [family] * s, make_data(models, 5, seed), 0.7)
-    vals1, _, _ = _first_layer(comps, structure, B, seed, False)
-    aux2 = [gen_aux_batch(c.family, c.n, C, generator(seed, 2, i), False)
-            for i, c in enumerate(comps)]
-    return comps, vals1, aux2, r_hat
+    comps, vals1, _ = first_layer_at(structure, [family] * s, make_data(models, 5, seed), 0.7,
+                                     B, seed)
+    r_hat = float(_r_hat(structure, comps, np.array([0.7]))[0])
+    return comps, vals1, _draw_aux(comps, C, seed, 2, False), r_hat
 
 
 class TestSecondLayerKernel:
@@ -359,6 +362,17 @@ class TestSecondLayerKernel:
         assert (hits, ties) == tuple(expected[1:])
         assert ties >= 1
 
+    def test_in_place_sf_leaves_the_first_layer_intact(self):
+        # the same family with an sf that writes its result into its argument
+        out_of_place = Generic(cdf=ndtr, quantile=ndtri, sf=lambda x: ndtr(-x),
+                               sample=lambda shape, rng: rng.standard_normal(shape),
+                               kappa1=0.0, kappa2=1.0, name="normal-sf")
+        data = make_data([ComponentModel(out_of_place, mu=0.4, sigma=0.8)] * 3, 8, 6)
+        a = dbpt_lcl(SERIES3, [out_of_place] * 3, data, 1.0, 0.1, 300, 100, rng=2)
+        b = dbpt_lcl(SERIES3, [GENERIC_INPLACE] * 3, data, 1.0, 0.1, 300, 100, rng=2)
+        assert a.to_dict() | {"per_component_estimates": None} == (
+            b.to_dict() | {"per_component_estimates": None})
+
     def test_diagnostics_off_keeps_counts(self):
         node = parse_structure(KERNEL_STRUCTURES[-1])
         comps, vals1, aux2, r_hat = _layers(node, WEIBULL, 300, 200, 5)
@@ -366,21 +380,6 @@ class TestSecondLayerKernel:
         bare = _second_layer(node, comps, vals1, aux2, r_hat, diagnostics=False)
         assert np.array_equal(full[0], bare[0])
         assert bare[1:] == (0, 0)
-
-    @pytest.mark.parametrize("family", [WEIBULL, LOGNORMAL, EXPONENTIAL],
-                             ids=lambda f: f.name)
-    def test_curve_equals_scalar_lcl_at_every_grid_point(self, family):
-        node = parse_structure("parallel(c1,series(c2,c3))")
-        if family is EXPONENTIAL:
-            models = [ComponentModel(family, rate=0.8)] * 3
-        else:
-            models = [ComponentModel(family, mu=0.4, sigma=0.7)] * 3
-        data = make_data(models, 8, 12)
-        grid = default_t_grid(1.0, 21)
-        curve = lcl_curve("dbpt", node, [family] * 3, data, grid, 0.1, 400, 150, 77)
-        scalar = [dbpt_lcl(node, [family] * 3, data, float(t), 0.1, 400, 150, rng=77).lcl
-                  for t in grid]
-        assert curve.tobytes() == np.array(scalar).tobytes()
 
     def test_memory_stays_bounded(self):
         # the unblocked layer held s full B x C arrays: about 290 MB here
@@ -396,6 +395,48 @@ class TestSecondLayerKernel:
         assert peak < 32 * 2 ** 20
 
 
+CURVE_STRUCTURES = ["series(c1,c2,c3)", "parallel(c1,series(c2,c3))", "koutofn(2;c1,c2,c3)"]
+
+
+class TestBootstrapCurve:
+    @pytest.mark.parametrize("family", [WEIBULL, LOGNORMAL, EXPONENTIAL], ids=lambda f: f.name)
+    @pytest.mark.parametrize("method", ["bp", "bb", "dbpt", "dbp"])
+    def test_curve_equals_scalar_lcl_at_every_grid_point(self, method, family):
+        # the scalar LCL is the one-point curve: same draws, same arithmetic, same bits
+        B, C = (40, 15) if method == "dbp" else (400, 150)
+        if family is EXPONENTIAL:
+            models = [ComponentModel(family, rate=0.8)] * 3
+        else:
+            models = [ComponentModel(family, mu=0.4, sigma=0.7)] * 3
+        grid = default_t_grid(1.0, 9)
+        for text in CURVE_STRUCTURES:
+            node = parse_structure(text)
+            for data_seed in (12, 13):
+                data = make_data(models, 8, data_seed)
+                curve = lcl_curve(method, node, [family] * 3, data, grid, 0.1, B, C, 77)
+                scalar = [compute_lcl(method, node, [family] * 3, data, float(t), 0.1, B, C,
+                                      77).raw_value for t in grid]
+                assert curve.tobytes() == np.array(scalar).tobytes()
+                direct = bootstrap_curve(method, node, [family] * 3, data, grid, 0.1, B, C, 77)
+                assert direct.tobytes() == curve.tobytes()
+
+    def test_single_point_grid_is_accepted(self):
+        models = [ComponentModel(WEIBULL, mu=1.0, sigma=0.7)] * 3
+        data = make_data(models, 10, 2)
+        curve = bootstrap_curve("dbpt", SERIES3, [WEIBULL] * 3, data, [1.5], 0.1, 200, 50, 4)
+        assert curve.tolist() == [dbpt_lcl(SERIES3, [WEIBULL] * 3, data, 1.5, 0.1, 200, 50,
+                                           rng=4).raw_value]
+
+    def test_rejects_unknown_methods_and_bad_grids(self):
+        models = [ComponentModel(WEIBULL, mu=1.0, sigma=0.7)] * 3
+        data = make_data(models, 10, 2)
+        with pytest.raises(ValueError, match="unknown method"):
+            bootstrap_curve("delta", SERIES3, [WEIBULL] * 3, data, [1.0, 2.0], 0.1, 200, 50, 4)
+        for grid in ([], [[1.0, 2.0]], [1.0, 0.0]):
+            with pytest.raises(ValueError):
+                bootstrap_curve("bp", SERIES3, [WEIBULL] * 3, data, grid, 0.1, 200, 50, 4)
+
+
 class TestDbptRanks:
     def test_ranks_reproduce_the_selection(self):
         models = [ComponentModel(WEIBULL, mu=1.0, sigma=0.7)] * 3
@@ -405,8 +446,7 @@ class TestDbptRanks:
         assert res.k == ceil_index(B * alpha)
         assert 0 <= res.u_k <= C
         assert res.k_prime == min(B, max(1, ceil_div(B * res.u_k, C)))
-        comps, _ = _fit_components(SERIES3, [WEIBULL] * 3, data, 2.0)
-        _, r_star, _ = _first_layer(comps, SERIES3, B, 8, False)
+        _, _, r_star = first_layer_at(SERIES3, [WEIBULL] * 3, data, 2.0, B, 8)
         assert res.lcl == kth_smallest(r_star, res.k_prime)
         diagnostics = res.to_dict()["diagnostics"]
         assert (diagnostics["u_k"], diagnostics["k"], diagnostics["k_prime"]) == (

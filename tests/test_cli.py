@@ -206,6 +206,14 @@ class TestOtherCommands:
         assert out["violations"] == 0
         assert out["bend_back"] is False
 
+    def test_bendback_scan_rejects_what_lcl_rejects(self, request_file):
+        for method in ("bp", "dbpt", "delta"):
+            args = [str(request_file), "--method", method, "--alpha", "0", "--B", "50"]
+            lcl = run_cli(["lcl", *args])
+            scan = run_cli(["bendback-scan", *args, "--points", "5"])
+            assert lcl.returncode == scan.returncode == 4, scan.stdout
+            assert scan.stderr == lcl.stderr
+
     def test_perf_probe(self, tmp_path):
         config = {
             "structure": "series(c1,c2)",

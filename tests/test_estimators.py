@@ -16,6 +16,7 @@ from relbound.distributions import (
 )
 from relbound.errors import DegenerateSampleError, EstimationError
 from relbound.estimators import (
+    delta_curve,
     delta_lcl,
     fisher_information,
     loglik,
@@ -301,3 +302,32 @@ class TestDeltaLcl:
         node = parse_structure("series(c1)")
         with pytest.raises(ValueError):
             delta_lcl(node, [EXPONENTIAL], [[1.0, 2.0]], 1.0, alpha=0.7)
+
+
+class TestDeltaCurve:
+    def test_equals_scalar_at_every_time_with_censoring(self):
+        from relbound.censoring import type2_censor
+
+        node = parse_structure("parallel(c1,c2)")
+        rng = np.random.default_rng(8)
+        censored = [type2_censor(sample_lifetimes(ComponentModel(WEIBULL, mu=0.5, sigma=0.8),
+                                                  12, rng), 9) for _ in range(2)]
+        times = [c.times for c in censored]
+        masks = [c.censored for c in censored]
+        grid = np.array([0.5, 1.0, 2.0])
+        for form in ("paper", "standard"):
+            curve = delta_curve(node, [WEIBULL] * 2, times, grid, 0.1, form=form,
+                                censored_masks=masks)
+            scalar = [delta_lcl(node, [WEIBULL] * 2, times, t, 0.1, form=form,
+                                censored_masks=masks).raw_value for t in grid]
+            assert curve.tobytes() == np.array(scalar).tobytes()
+
+    def test_checks_like_the_scalar(self):
+        node = parse_structure("series(c1)")
+        data = [[1.0, 2.0, 3.0]]
+        for kwargs in ({"alpha": 0.7}, {"form": "textbook"}):
+            with pytest.raises(ValueError) as scalar:
+                delta_lcl(node, [EXPONENTIAL], data, 1.0, **kwargs)
+            with pytest.raises(ValueError) as curve:
+                delta_curve(node, [EXPONENTIAL], data, [1.0, 2.0], **kwargs)
+            assert str(curve.value) == str(scalar.value)

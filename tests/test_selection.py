@@ -50,6 +50,16 @@ class TestKthSmallest:
         with pytest.raises(ValueError):
             kth_smallest(np.array([1.0]), 2)
 
+    def test_axis_selects_per_column(self):
+        values = np.random.default_rng(3).normal(size=(50, 7))
+        for k in (1, 5, 50):
+            got = kth_smallest(values, k, axis=0)
+            assert got.tolist() == [kth_smallest(values[:, j], k) for j in range(7)]
+        with pytest.raises(ValueError):
+            kth_smallest(values, 51, axis=0)
+        with pytest.raises(ValueError):
+            kth_smallest(values, 0, axis=0)
+
 
 class TestEmpiricalQuantile:
     def test_tenths_example(self):

@@ -75,6 +75,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(components=({"family": "exponential", "rate": 1.0},) * 2)
 
+    def test_b_below_inverse_alpha_rejected(self):
+        with pytest.raises(ValueError, match="ceil"):
+            small_config(B=5)
+        small_config(B=5, methods=("delta",))  # B is not used by delta
+
+    def test_c_below_one_rejected_for_double_bootstraps(self):
+        for method in ("dbpt", "dbp"):
+            with pytest.raises(ValueError, match="C must be"):
+                small_config(C=0, methods=("bp", method))
+        small_config(C=0, methods=("bp", "bb"))
+
+    def test_alpha_above_half_rejected_for_delta(self):
+        for method in ("delta", "delta-standard"):
+            with pytest.raises(ValueError, match="0.5"):
+                small_config(alpha=0.6, methods=("bp", method))
+        small_config(alpha=0.6, methods=("bp",))
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             small_config(methods=("bp", "wcf"))
@@ -205,14 +222,33 @@ class TestCurvesAndBendBack:
         violations = detect_bend_back("delta", node, [WEIBULL] * 2, data, grid, seed=0)
         assert violations == 0
 
-    def test_curve_matches_pointwise_method(self):
-        # curve at a grid point equals the scalar method at that t, same seed
+    @pytest.mark.parametrize("method", ["bp", "bb", "dbpt", "dbp", "delta"])
+    def test_curve_raises_what_the_scalar_raises(self, method):
         node = parse_structure("series(c1,c2)")
-        data = self._dataset(11)
-        grid = np.array([0.8, 1.0, 1.25])
-        curve = lcl_curve("dbpt", node, [WEIBULL] * 2, data, grid, 0.1, 100, 40, seed=99)
-        single = compute_lcl("dbpt", node, [WEIBULL] * 2, data, 1.0, 0.1, 100, 40, 99)
-        assert curve[1] == pytest.approx(single.lcl, abs=1e-15)
+        data = self._dataset(4)
+        grid = default_t_grid(1.0, 4)
+
+        def outcome(fn):
+            try:
+                fn()
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return None
+
+        bad_inputs = {"alpha=0": {"alpha": 0.0}, "alpha=1.5": {"alpha": 1.5},
+                      "alpha=0.6": {"alpha": 0.6}, "B=3": {"B": 3}, "C=0": {"C": 0},
+                      "one family": {"families": [WEIBULL]}}
+        rejected = {"alpha=0", "alpha=1.5", "one family"}
+        rejected |= {"alpha=0.6"} if method == "delta" else {"B=3"}
+        rejected |= {"C=0"} if method in ("dbpt", "dbp") else set()
+        for name, bad in bad_inputs.items():
+            a = {"families": [WEIBULL] * 2, "alpha": 0.1, "B": 50, "C": 10, **bad}
+            scalar = outcome(lambda: compute_lcl(method, node, a["families"], data, 1.0,
+                                                 a["alpha"], a["B"], a["C"], 3))
+            curve = outcome(lambda: lcl_curve(method, node, a["families"], data, grid,
+                                              a["alpha"], a["B"], a["C"], 3))
+            assert curve == scalar, name
+            assert (scalar is not None) == (name in rejected), name
 
     def test_bb_and_dbp_curves_run(self):
         node = parse_structure("series(c1,c2)")
