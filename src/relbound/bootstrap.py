@@ -19,9 +19,10 @@ and ``dbp_lcl_oracle`` are its one-point case: at a fixed seed, the curve at
 t equals the scalar LCL at t bit for bit.
 
 The dbpt second layer (B first-layer rows times C shared auxiliary pairs per
-component) is evaluated one time at a time, in blocks of first-layer rows
-through preallocated buffers, so its working memory is O(s * rows * C) with
-rows * C near 2**15, whatever B is.
+component) runs blocks outside, times inside: it walks blocks of first-layer
+rows once and evaluates every time within each block, through one reused
+buffer, so its working memory is O(s * rows * C) with rows * C near 2**15,
+whatever B and G are.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .censoring import impute, type2_censor
-from .distributions import Exponential, Generic, LifetimeFamily
+from .distributions import Exponential, LifetimeFamily
 from .errors import EstimationError
 from .estimators import MomentEstimate, moment_estimate
 from .rng import generator, seed_entropy
@@ -60,13 +61,19 @@ class _Fitted:
     def base(self, t, params=None):
         """w = (log t - mu)/sigma at times ``t``, or log r = -rate*t for exponentials.
 
-        ``params`` swaps the fitted parameters for resampled ones, as arrays
-        that broadcast against ``t``.
+        ``params`` swaps the fitted parameters for 1-D arrays of resampled
+        ones, giving one row per resample and one column per time.
         """
-        p = self.params if params is None else params
+        p = self.params if params is None else {k: v[:, None] for k, v in params.items()}
         if self.is_exp:
             return -p["rate"] * t
         return (np.log(t) - p["mu"]) / p["sigma"]
+
+    def transform(self, base, z, m, out=None):
+        """Scale values resampled from ``base`` by the auxiliary pairs (z, m)."""
+        if self.is_exp:
+            return transform_logr(base, m, out)
+        return transform_w(self.family, base, z, m, out)
 
     def sf(self, vals):
         """Reliability from scale values."""
@@ -116,9 +123,15 @@ def _fit_components(families, datasets):
     return comps
 
 
-def _r_hat(structure, comps, t) -> np.ndarray:
-    """Plug-in system reliability at each time."""
-    return np.asarray(eval_structure(structure, [c.sf(c.base(t)) for c in comps]))
+def _r_hat(structure, comps, t, params=None) -> np.ndarray:
+    """Plug-in system reliability at each time.
+
+    With ``params`` (per component, 1-D arrays of resampled parameters) it is
+    the (rows, G) system reliability of each row of resampled parameters.
+    """
+    params = [None] * len(comps) if params is None else params
+    return np.asarray(eval_structure(structure, [c.sf(c.base(t, p))
+                                                 for c, p in zip(comps, params)]))
 
 
 def _boundary_hits(r: np.ndarray, axis=None):
@@ -140,13 +153,8 @@ def _first_layer(structure, comps, t, aux):
     """
     vals_list, r_list, hits = [], [], 0
     for comp, (z_bar, m) in zip(comps, aux):
-        base, z_bar, m = comp.base(t)[None, :], z_bar[:, None], m[:, None]
-        if comp.is_exp:
-            vals = transform_logr(base, m)
-        else:
-            vals = transform_w(comp.family, base, z_bar, m)
-        # a caller-supplied sf may overwrite its input, and vals feed layer two
-        r = comp.sf(vals.copy() if isinstance(comp.family, Generic) else vals)
+        vals = comp.transform(comp.base(t)[None, :], z_bar[:, None], m[:, None])
+        r = comp.sf(vals)
         hits = hits + _boundary_hits(r, axis=0)
         vals_list.append(vals)
         r_list.append(r)
@@ -176,55 +184,46 @@ def _select_dbpt(r_star: np.ndarray, u_counts: np.ndarray, B: int, C: int, alpha
 _BLOCK_ELEMS = 2 ** 15
 
 
-def _second_layer(structure, comps, vals1, aux2, r_hat, diagnostics=True):
-    """Per first-layer row j, how many of the C second-layer system values are <= r_hat.
+def _second_layer(structure, comps, vals1, aux2, r_hat):
+    """Per first-layer row j and time g, how many of C second-layer values are <= r_hat[g].
 
-    Row j of component i transforms ``vals1[i][j]`` by each of the C shared
+    Row j of component i transforms ``vals1[i][j, g]`` by each of the C shared
     auxiliary pairs ``aux2[i]``.  Rows are processed in blocks of
-    ``max(1, 2**15 // C)``; the affine map of each component is written into one
-    reused (rows, C) buffer, so peak memory is O(s * rows * C) instead of
-    O(s * B * C).  Each element goes through the same numpy operations as the
-    unblocked map, so the counts are bit-identical to it.
+    ``max(1, 2**15 // C)``, and every time is evaluated within a block; the
+    affine map of each component is written into one reused (rows, C) buffer,
+    so peak memory is O(s * rows * C) instead of O(s * B * C).  Each element
+    goes through the same numpy operations as the unblocked map, so the
+    counts are bit-identical to it.
 
-    Returns ``(u_counts, boundary_hits, ties)``: the int64 counts per row,
-    second-layer component values equal to 0 or 1, and system values equal to
-    ``r_hat``.  The last two are 0 when ``diagnostics`` is false.
+    Returns ``(u_counts, boundary_hits, ties)``: the (B, G) int64 counts, and
+    per time the second-layer component values equal to 0 or 1 and the system
+    values equal to ``r_hat``.  The last two are counted only when G == 1, the
+    scalar LCL that reports them, and are 0 otherwise.
     """
-    B, C = vals1[0].shape[0], aux2[0][1].shape[0]
+    (B, G), C = vals1[0].shape, aux2[0][1].shape[0]
     rows = max(1, _BLOCK_ELEMS // C)
     buf = np.empty((min(rows, B), C))
-    scales = [None if comp.is_exp else comp.family.kappa2 / m2
-              for comp, (_, m2) in zip(comps, aux2)]
-    u_counts = np.empty(B, dtype=np.int64)
-    hits = ties = 0
+    u_counts = np.empty((B, G), dtype=np.int64)
+    hits, ties = np.zeros(G, dtype=np.int64), np.zeros(G, dtype=np.int64)
+    scalar = G == 1
     for lo in range(0, B, rows):
         hi = min(lo + rows, B)
         block = buf[: hi - lo]
-        r2_list = []
-        for comp, v1, (z2, m2), scale in zip(comps, vals1, aux2, scales):
-            col = v1[lo:hi, None]
-            if comp.is_exp:
-                np.divide(col, m2, out=block)
-                r2 = np.exp(block)
-            else:
-                np.subtract(col, z2, out=block)
-                np.multiply(block, scale, out=block)
-                np.add(block, comp.family.kappa1, out=block)
-                r2 = comp.family.sf(block)
-                if np.may_share_memory(r2, buf):  # a Generic sf may hand its input back
-                    r2 = r2.copy()
-            if diagnostics:
-                hits += _boundary_hits(r2)
-            r2_list.append(r2)
-        r_2star = np.asarray(eval_structure(structure, r2_list))
-        u_counts[lo:hi] = np.count_nonzero(r_2star <= r_hat, axis=1)
-        if diagnostics:
-            ties += int(np.count_nonzero(r_2star == r_hat))
+        for g in range(G):
+            r2_list = []
+            for comp, v1, (z2, m2) in zip(comps, vals1, aux2):
+                r2 = comp.sf(comp.transform(v1[lo:hi, g, None], z2, m2, block))
+                if scalar:
+                    hits[g] += _boundary_hits(r2)
+                r2_list.append(r2)
+            r_2star = np.asarray(eval_structure(structure, r2_list))
+            u_counts[lo:hi, g] = np.count_nonzero(r_2star <= r_hat[g], axis=1)
+            if scalar:
+                ties[g] += np.count_nonzero(r_2star == r_hat[g])
     return u_counts, hits, ties
 
 
-def _transformed(method, structure, comps, t, r_hat, alpha, B, C, rng, paper_literal,
-                 diagnostics) -> _Outcome:
+def _transformed(method, structure, comps, t, r_hat, alpha, B, C, rng, paper_literal) -> _Outcome:
     """bp, bb or dbpt at every time in ``t``, from auxiliary draws made once."""
     vals1, r_star, hits = _first_layer(structure, comps, t,
                                        _draw_aux(comps, B, rng, _LAYER_ONE, paper_literal))
@@ -235,17 +234,12 @@ def _transformed(method, structure, comps, t, r_hat, alpha, B, C, rng, paper_lit
         raw = chosen if method == "bp" else 2.0 * r_hat - chosen
         return _Outcome(raw, None, r_hat, hits, ties)
     aux2 = _draw_aux(comps, C, rng, _LAYER_TWO, paper_literal)
-    u_counts = np.empty(r_star.shape, dtype=np.int64)
-    ties = np.zeros(t.size, dtype=np.int64)
-    for g in range(t.size):
-        u_counts[:, g], hits2, ties[g] = _second_layer(
-            structure, comps, [v[:, g] for v in vals1], aux2, r_hat[g], diagnostics)
-        hits[g] += hits2
-    return _Outcome(*_select_dbpt(r_star, u_counts, B, C, alpha), r_hat, hits, ties)
+    u_counts, hits2, ties = _second_layer(structure, comps, vals1, aux2, r_hat)
+    return _Outcome(*_select_dbpt(r_star, u_counts, B, C, alpha), r_hat, hits + hits2, ties)
 
 
 def _run(method, structure, families, datasets, t, alpha, B, C, rng, paper_literal,
-         diagnostics=True, recensor_n_tilde=None):
+         recensor_n_tilde=None):
     """Check, fit and run ``method`` at every time in ``t``; returns (comps, outcome)."""
     _check(structure, families, datasets, alpha, B, C if method in _TWO_LAYER else None)
     t = _times(t)
@@ -254,7 +248,7 @@ def _run(method, structure, families, datasets, t, alpha, B, C, rng, paper_liter
     if method == "dbp":
         return comps, _nested(structure, comps, t, r_hat, alpha, B, C, rng, recensor_n_tilde)
     return comps, _transformed(method, structure, comps, t, r_hat, alpha, B, C, rng,
-                               paper_literal, diagnostics)
+                               paper_literal)
 
 
 def _lcl(method, structure, families, datasets, t, alpha, B, C, rng,
@@ -322,7 +316,7 @@ def bootstrap_curve(method: str, structure: StructureNode, families, datasets, t
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     _, out = _run(method, structure, families, datasets, t_grid, alpha, B, C, rng,
-                  paper_literal_aux, diagnostics=False)
+                  paper_literal_aux)
     return out.raw
 
 
@@ -359,13 +353,6 @@ def _resampled_params(comp, params, rows, rng, n_tilde):
     return _moment_params_rows(comp.family, x)
 
 
-def _system_at(structure, comps, params, t) -> np.ndarray:
-    """(rows, G) system reliability of per-component rows of resampled parameters."""
-    return np.asarray(eval_structure(structure, [
-        c.sf(c.base(t, {k: v[:, None] for k, v in p.items()}))
-        for c, p in zip(comps, params)]))
-
-
 def _nested(structure, comps, t, r_hat, alpha, B, C, rng, recensor_n_tilde=None) -> _Outcome:
     """dbp at every time in ``t``; the resampled parameters are drawn once.
 
@@ -377,7 +364,7 @@ def _nested(structure, comps, t, r_hat, alpha, B, C, rng, recensor_n_tilde=None)
     n_tilde = recensor_n_tilde if recensor_n_tilde is not None else [None] * len(comps)
     star = [_resampled_params(c, c.params, B, generator(rng, _LAYER_ONE, i), n_tilde[i])
             for i, c in enumerate(comps)]
-    r_star = _system_at(structure, comps, star, t)
+    r_star = _r_hat(structure, comps, t, star)
 
     rng2 = [generator(rng, _LAYER_TWO, i) for i in range(len(comps))]
     u_counts = np.empty(r_star.shape, dtype=np.int64)
@@ -385,7 +372,7 @@ def _nested(structure, comps, t, r_hat, alpha, B, C, rng, recensor_n_tilde=None)
     for j in range(B):
         twostar = [_resampled_params(c, {k: v[j] for k, v in p.items()}, C, rng2[i], n_tilde[i])
                    for i, (c, p) in enumerate(zip(comps, star))]
-        r_2star = _system_at(structure, comps, twostar, t)
+        r_2star = _r_hat(structure, comps, t, twostar)
         u_counts[j] = np.count_nonzero(r_2star <= r_hat, axis=0)
         ties += np.count_nonzero(r_2star == r_hat, axis=0)
     return _Outcome(*_select_dbpt(r_star, u_counts, B, C, alpha), r_hat,

@@ -163,7 +163,9 @@ class Generic(LifetimeFamily):
     The moment constants must be supplied rather than estimated: the transform
     law is exact only with the true population (kappa1, kappa2).  ``pdf`` is
     optional; when absent it is obtained by central differences of the CDF.
-    Callables must accept numpy arrays.
+    Callables must accept numpy arrays.  Each call hands them a private float
+    copy of its argument, so a callable may write into its input without
+    touching the caller's array.
     """
 
     def __init__(self, cdf, quantile, sample, kappa1, kappa2,
@@ -184,26 +186,26 @@ class Generic(LifetimeFamily):
         self._isf = isf
 
     def cdf(self, x):
-        return self._cdf(np.asarray(x, dtype=float))
+        return self._cdf(np.array(x, dtype=float))
 
     def sf(self, x):
         if self._sf is not None:
-            return self._sf(np.asarray(x, dtype=float))
+            return self._sf(np.array(x, dtype=float))
         return 1.0 - self.cdf(x)
 
     def pdf(self, x):
         if self._pdf is not None:
-            return self._pdf(np.asarray(x, dtype=float))
+            return self._pdf(np.array(x, dtype=float))
         x = np.asarray(x, dtype=float)
         h = 1e-6 * np.maximum(1.0, np.abs(x))
         return (self.cdf(x + h) - self.cdf(x - h)) / (2.0 * h)
 
     def quantile(self, p):
-        return self._quantile(_check_prob(p))
+        return self._quantile(_check_prob(np.array(p, dtype=float)))
 
     def isf(self, q):
         if self._isf is not None:
-            return self._isf(_check_prob(q))
+            return self._isf(_check_prob(np.array(q, dtype=float)))
         return self.quantile(1.0 - _check_prob(q))
 
     def sample_standardized(self, shape, rng):

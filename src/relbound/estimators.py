@@ -255,7 +255,7 @@ def _numeric_mle(family, times, mask) -> MleEstimate:
     res = minimize(nll, x0=np.array([mu0, math.log(s0)]), method="Nelder-Mead",
                    options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 5000})
     if not res.success:
-        raise EstimationError(f"censored MLE failed to converge: {res.message}")
+        raise EstimationError(f"MLE failed to converge: {res.message}")
     return MleEstimate(family, times.size, mu_hat=float(res.x[0]),
                        sigma_hat=float(math.exp(res.x[1])))
 
@@ -382,6 +382,9 @@ def observed_information(family: LifetimeFamily, estimate: MomentEstimate,
 
 
 def _require_nonsingular(info: np.ndarray) -> None:
+    # cholesky does not raise on NaN, which quadrature can return
+    if not np.all(np.isfinite(info)):
+        raise EstimationError("information matrix is not finite")
     try:
         np.linalg.cholesky(info)
     except np.linalg.LinAlgError:

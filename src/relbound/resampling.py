@@ -87,20 +87,29 @@ def gen_aux(family: LifetimeFamily, n: int, rng=None,
     return AuxStat(z_bar=float(z_bar[0]), m=float(m[0]), n=n)
 
 
-def transform_w(family: LifetimeFamily, w, z_bar, m):
+def transform_w(family: LifetimeFamily, w, z_bar, m, out=None):
     """The reliability transform on the standardized-quantile scale.
 
     With w = F^{-1}(1 - r), the transformed reliability is sf(w') where
-    w' = (w - z_bar) * kappa2 / m + kappa1.  Keeping intermediate values on
+    w' = (w - z_bar) * (kappa2 / m) + kappa1.  Keeping intermediate values on
     this scale preserves precision for r near 1 and makes nested transforms
-    a plain affine composition.
+    a plain affine composition.  The arguments broadcast; the result is
+    written into ``out`` when given, else into a new array.
     """
-    return (w - z_bar) * (family.kappa2 / m) + family.kappa1
+    if out is None:
+        # numpy's operators rather than one preallocated result: with the
+        # latter, glibc's heap trimming made the second layer of a 50-point
+        # series(3) Weibull dbpt curve take ~60k page faults instead of ~1k,
+        # and a bend-back study ran 20% slower
+        return (w - z_bar) * (family.kappa2 / m) + family.kappa1
+    np.subtract(w, z_bar, out=out)
+    np.multiply(out, family.kappa2 / m, out=out)
+    return np.add(out, family.kappa1, out=out)
 
 
-def transform_logr(log_r, m):
+def transform_logr(log_r, m, out=None):
     """Exponential-family transform on the log-reliability scale: log r / m."""
-    return log_r / m
+    return np.divide(log_r, m, out=out)
 
 
 def transform_reliability(family: LifetimeFamily, r, aux: AuxStat):

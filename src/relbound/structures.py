@@ -106,7 +106,9 @@ def component_counts(node: StructureNode) -> Counter:
 def num_components(node: StructureNode) -> int:
     """Validate the tree and return the number of components ``s``.
 
-    Coherence requires every index in 0..s-1 to appear at least once.
+    Every index in 0..s-1 must appear exactly once: coherence needs each
+    component to be relevant, and the recursive structure function is exact
+    only when sibling subtrees share no component.
     """
     _validate(node)
     counts = component_counts(node)
@@ -117,6 +119,9 @@ def num_components(node: StructureNode) -> int:
             f"component ids must cover 0..{s - 1}; missing {missing} "
             f"(every component must be relevant)"
         )
+    repeated = sorted(i for i, c in counts.items() if c > 1)
+    if repeated:
+        raise StructureError(f"component ids {repeated} are repeated; each must appear once")
     return s
 
 
@@ -264,9 +269,6 @@ def eval_structure(node: StructureNode, r: Sequence) -> "np.ndarray | float":
     whose inputs are valid by construction: it neither validates the tree nor
     checks that the values lie in [0, 1], and returns whatever type the
     arithmetic yields.
-
-    Sibling subtrees are treated as stochastically independent, so the
-    recursion is exact whenever no component index appears more than once.
     """
     if isinstance(node, ComponentRef):
         return r[node.index]
@@ -310,9 +312,7 @@ def eval_reliability(node: StructureNode, r) -> "float | np.ndarray":
     """System reliability ``psi(r_1, ..., r_s)``.
 
     ``r`` holds one reliability per component; entries may be scalars or
-    equal-shape arrays (evaluated elementwise).  Exact for trees in which
-    each component appears once; repeated references are combined as if
-    independent.
+    equal-shape arrays (evaluated elementwise).
     """
     values = _check_reliabilities(node, r)
     out = eval_structure(node, values)
@@ -351,20 +351,11 @@ def eval_reliability_bruteforce(node: StructureNode, r) -> float:
 def structure_partials(node: StructureNode, r) -> np.ndarray:
     """Partial derivatives d(psi)/d(r_i) by pivotal decomposition.
 
-    psi is multilinear in each r_i when every component appears exactly once
+    psi is multilinear in each r_i, as every component appears exactly once
     in the tree, making ``psi(r_i := 1) - psi(r_i := 0)`` the exact partial.
-    Trees with repeated component ids are rejected rather than silently
-    returning a wrong derivative.
     """
     values = _check_reliabilities(node, r)
     s = num_components(node)
-    counts = component_counts(node)
-    repeated = sorted(i for i, c in counts.items() if c > 1)
-    if repeated:
-        raise StructureError(
-            f"structure_partials requires each component to appear exactly once; "
-            f"repeated ids {repeated}"
-        )
     base = [float(v) for v in values[:s]]
     partials = np.empty(s)
     for i in range(s):

@@ -7,6 +7,16 @@ import numpy as np
 from relbound.structures import ComponentRef, KOutOfN, Parallel, Series
 
 
+def pytest_collection_modifyitems(items):
+    """Run the acceptance suite after the module tests, keeping each group's order.
+
+    The acceptance criteria take most of a full run's time, so the module
+    tests report first, and a run cut short by a time limit still reports
+    every one of them.
+    """
+    items.sort(key=lambda item: item.path.name == "test_acceptance.py")
+
+
 def random_tree(rng: np.random.Generator, s: int):
     """Random coherent tree in which each of the s components appears exactly once.
 

@@ -309,6 +309,8 @@ KERNEL_STRUCTURES = [
 # (B, C): B not a multiple of the block rows, B below one block, C = 1, and
 # C above 2**15 so that every block is a single row
 KERNEL_SHAPES = [(300, 200), (20, 500), (50, 1), (5, 2 ** 15 + 3)]
+# n = 5 at t = 0.7 pushes some second-layer values to exactly 0 or 1
+KERNEL_TIMES = (0.7, 0.4, 1.3)
 
 
 def _unblocked_second_layer(structure, comps, vals1, aux2, r_hat):
@@ -328,17 +330,17 @@ def _unblocked_second_layer(structure, comps, vals1, aux2, r_hat):
     return r_2star, (r_2star <= r_hat).sum(axis=1), hits, int((r_2star == r_hat).sum())
 
 
-def _layers(structure, family, B, C, seed):
+def _layers(structure, family, B, C, seed, G=1):
+    """(B, G) first layers at the first G kernel times, the C second-layer pairs, and R-hat."""
     s = num_components(structure)
     if family is EXPONENTIAL:
         models = [ComponentModel(family, rate=1.0)] * s
     else:
         models = [ComponentModel(family, mu=0.3, sigma=0.8)] * s
-    # n = 5 at t = 0.7 pushes some second-layer values to exactly 0 or 1
-    comps, vals1, _ = first_layer_at(structure, [family] * s, make_data(models, 5, seed), 0.7,
-                                     B, seed)
-    r_hat = float(_r_hat(structure, comps, np.array([0.7]))[0])
-    return comps, vals1, _draw_aux(comps, C, seed, 2, False), r_hat
+    comps = _fit_components([family] * s, make_data(models, 5, seed))
+    t = np.array(KERNEL_TIMES[:G])
+    vals1, _, _ = _first_layer(structure, comps, t, _draw_aux(comps, B, seed, 1, False))
+    return comps, vals1, _draw_aux(comps, C, seed, 2, False), _r_hat(structure, comps, t)
 
 
 class TestSecondLayerKernel:
@@ -348,19 +350,22 @@ class TestSecondLayerKernel:
     def test_matches_unblocked_map(self, family_name, text, shape):
         B, C = shape
         node = parse_structure(text)
-        comps, vals1, aux2, r_hat = _layers(node, KERNEL_FAMILIES[family_name], B, C, 31)
-        r_2star, *expected = _unblocked_second_layer(node, comps, vals1, aux2, r_hat)
-        u_counts, hits, ties = _second_layer(node, comps, vals1, aux2, r_hat)
-        assert u_counts.dtype == np.int64
-        assert np.array_equal(u_counts, expected[0])
-        assert (hits, ties) == tuple(expected[1:])
-        # a threshold taken from the second layer itself forces at least one tie
-        tied = float(r_2star[B // 2, C // 2])
-        _, *expected = _unblocked_second_layer(node, comps, vals1, aux2, tied)
-        u_counts, hits, ties = _second_layer(node, comps, vals1, aux2, tied)
-        assert np.array_equal(u_counts, expected[0])
-        assert (hits, ties) == tuple(expected[1:])
-        assert ties >= 1
+        for G in (1, 3):
+            comps, vals1, aux2, r_hat = _layers(node, KERNEL_FAMILIES[family_name], B, C, 31, G)
+            columns = [[v[:, g] for v in vals1] for g in range(G)]
+            # a threshold taken from the second layer itself forces at least one tie
+            tied = np.array([_unblocked_second_layer(node, comps, col, aux2, r)[0][B // 2, C // 2]
+                             for col, r in zip(columns, r_hat)])
+            for threshold in (r_hat, tied):
+                u_counts, hits, ties = _second_layer(node, comps, vals1, aux2, threshold)
+                assert u_counts.dtype == np.int64
+                for g, col in enumerate(columns):
+                    _, *expected = _unblocked_second_layer(node, comps, col, aux2, threshold[g])
+                    assert np.array_equal(u_counts[:, g], expected[0])
+                if G == 1:
+                    assert (hits[0], ties[0]) == tuple(expected[1:])
+            if G == 1:
+                assert ties[0] >= 1
 
     def test_in_place_sf_leaves_the_first_layer_intact(self):
         # the same family with an sf that writes its result into its argument
@@ -374,25 +379,34 @@ class TestSecondLayerKernel:
             b.to_dict() | {"per_component_estimates": None})
 
     def test_diagnostics_off_keeps_counts(self):
+        # over several times only the counts are kept, each column equal to its one-point call
         node = parse_structure(KERNEL_STRUCTURES[-1])
-        comps, vals1, aux2, r_hat = _layers(node, WEIBULL, 300, 200, 5)
-        full = _second_layer(node, comps, vals1, aux2, r_hat)
-        bare = _second_layer(node, comps, vals1, aux2, r_hat, diagnostics=False)
-        assert np.array_equal(full[0], bare[0])
-        assert bare[1:] == (0, 0)
+        comps, vals1, aux2, r_hat = _layers(node, WEIBULL, 300, 200, 5, 3)
+        u_counts, hits, ties = _second_layer(node, comps, vals1, aux2, r_hat)
+        one_point_hits = 0
+        for g in range(3):
+            one = _second_layer(node, comps, [v[:, g:g + 1] for v in vals1], aux2, r_hat[g:g + 1])
+            assert np.array_equal(u_counts[:, g], one[0][:, 0])
+            one_point_hits += one[1][0]
+        assert one_point_hits > 0
+        assert not hits.any() and not ties.any()
 
     def test_memory_stays_bounded(self):
         # the unblocked layer held s full B x C arrays: about 290 MB here
         node = parse_structure("series(c1,...,c16)")
         models = [ComponentModel(WEIBULL, mu=1.0, sigma=0.7)] * 16
         data = make_data(models, 10, 3)
-        tracemalloc.start()
-        try:
-            dbpt_lcl(node, [WEIBULL] * 16, data, 0.5, 0.1, B=1000, C=2000, rng=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
+        for run in (lambda: dbpt_lcl(node, [WEIBULL] * 16, data, 0.5, 0.1, B=1000, C=2000, rng=1),
+                    lambda: bootstrap_curve("dbpt", node, [WEIBULL] * 16, data,
+                                            np.geomspace(0.3, 0.8, 5), 0.1, B=1000, C=2000,
+                                            rng=1)):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2 ** 20
 
 
 CURVE_STRUCTURES = ["series(c1,c2,c3)", "parallel(c1,series(c2,c3))", "koutofn(2;c1,c2,c3)"]

@@ -130,6 +130,27 @@ class TestStandardized:
         x = np.linspace(-10, 10, 401)
         assert np.max(np.abs(fam.quantile(fam.cdf(x)) - x)) < 1e-10
 
+    @pytest.mark.parametrize("name", ["cdf", "sf", "pdf", "quantile", "isf"])
+    def test_generic_callables_get_a_private_copy(self, name):
+        # a callable that overwrites its argument must not reach the caller's array
+        def in_place(f):
+            def g(x):
+                x[...] = f(x)
+                return x
+            return g
+
+        logistic = logistic_family()
+        fam = Generic(**{name: in_place(getattr(logistic, name))},
+                      **{k: getattr(logistic, k) for k in ("cdf", "quantile")
+                         if k != name},
+                      sample=logistic.sample_standardized, kappa1=0.0,
+                      kappa2=logistic.kappa2, name="in-place")
+        arg = np.linspace(0.1, 0.9, 9)
+        kept = arg.copy()
+        out = getattr(fam, name)(arg)
+        assert np.array_equal(arg, kept)
+        assert np.allclose(out, getattr(logistic, name)(kept), rtol=1e-12, atol=0)
+
     def test_quantile_rejects_boundary(self):
         with pytest.raises(ValueError):
             standardized_quantile(WEIBULL, 0.0)

@@ -227,6 +227,23 @@ class TestFisherInformation:
         closed = fisher_information(WEIBULL, ComponentModel(WEIBULL, mu=0.1, sigma=0.8), 9)
         assert np.max(np.abs(info - closed)) < 1e-5
 
+    @pytest.mark.filterwarnings("ignore")  # quad reports the roundoff it gives up on
+    def test_non_finite_information_raises(self):
+        # without a pdf the quadrature differentiates the cdf and returns NaN
+        from scipy.special import ndtr, ndtri
+
+        from relbound.distributions import Generic
+
+        normal = Generic(cdf=ndtr, quantile=ndtri, kappa1=0.0, kappa2=1.0,
+                         sample=lambda shape, rng: rng.standard_normal(shape), name="normal")
+        model = ComponentModel(normal, mu=0.0, sigma=1.0)
+        with pytest.raises(EstimationError, match="not finite"):
+            fisher_information(normal, model, 30)
+        node = parse_structure("series(c1,c2)")
+        data = [sample_lifetimes(model, 30, rng=i) for i in range(2)]
+        with pytest.raises(EstimationError, match="not finite"):
+            delta_lcl(node, [normal, normal], data, 1.0, 0.1)
+
     def test_observed_matches_expected_complete_lognormal(self):
         data = sample_lifetimes(ComponentModel(LOGNORMAL, mu=0.0, sigma=1.0), 400, rng=4)
         est = mle_fit(LOGNORMAL, data)

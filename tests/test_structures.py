@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tree
+from relbound.bootstrap import dbpt_lcl
+from relbound.distributions import WEIBULL, ComponentModel, sample_lifetimes
 from relbound.errors import StructureError, StructureParseError
 from relbound.structures import (
     ComponentRef,
@@ -197,6 +199,20 @@ class TestPartials:
         node = Series((ComponentRef(0), ComponentRef(0)))
         with pytest.raises(StructureError, match="repeated"):
             structure_partials(node, [0.5])
+
+    def test_bridge_written_as_path_sets_rejected(self):
+        # the recursion would treat the shared components as independent:
+        # 0.99735 at r_i = 0.9, where the exact reliability is 0.97848
+        text = "parallel(series(c1,c4),series(c2,c5),series(c1,c3,c5),series(c2,c3,c4))"
+        with pytest.raises(StructureError, match="repeated"):
+            parse_structure(text)
+        c = ComponentRef
+        bridge = Parallel((Series((c(0), c(3))), Series((c(1), c(4))),
+                           Series((c(0), c(2), c(4))), Series((c(1), c(2), c(3)))))
+        model = ComponentModel(WEIBULL, mu=1.0, sigma=0.7)
+        data = [sample_lifetimes(model, 8, rng=i) for i in range(5)]
+        with pytest.raises(StructureError, match="repeated"):
+            dbpt_lcl(bridge, [WEIBULL] * 5, data, 1.0, 0.1, 100, 50, rng=1)
 
 
 def test_num_components_counts_and_validates():
