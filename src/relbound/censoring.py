@@ -21,7 +21,9 @@ from .errors import EstimationError
 from .estimators import loglik, mle_fit
 from .selection import ceil_index
 
-__all__ = ["CensoredDataset", "type2_censor", "impute", "censored_loglik"]
+__all__ = ["CensoredDataset", "type2_censor", "impute", "censored_loglik", "IMPUTE_MODES"]
+
+IMPUTE_MODES = ("mean", "quantile")
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,8 @@ def impute(family: LifetimeFamily, censored: CensoredDataset,
     strictly exceed the censoring time; a dataset without censored rows is
     returned unchanged.
     """
-    if mode not in ("mean", "quantile"):
-        raise ValueError("mode must be 'mean' or 'quantile'")
+    if mode not in IMPUTE_MODES:
+        raise ValueError(f"mode must be one of {list(IMPUTE_MODES)}")
     times = censored.times
     mask = censored.censored
     if not mask.any():

@@ -26,14 +26,14 @@ import math
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .bootstrap import bb_lcl, bootstrap_curve, bp_lcl, dbp_lcl_oracle, dbpt_lcl
-from .censoring import censoring_count, impute, type2_censor
+from .censoring import IMPUTE_MODES, censoring_count, impute, type2_censor
 from .distributions import (
     ComponentModel,
     Exponential,
@@ -70,9 +70,26 @@ DELTA_METHODS = ("delta", "delta-standard")
 # --- configuration ----------------------------------------------------------
 
 
+# Field name -> JSON key where they differ: ``n_values`` is ``n``, and the
+# three bend-back fields form the ``bend_back`` {enabled, points, decades} group.
+_RENAMED = {"n_values": "n"}
+_BEND_BACK = {"bend_back": "enabled", "bend_back_points": "points", "bend_back_decades": "decades"}
+# JSON numbers and flags take the type their field is annotated with
+_CASTS = {"str": str, "int": int, "float": float, "bool": bool}
+
+
 @dataclass(frozen=True)
 class StudyConfig:
-    """Settings of one coverage study; see README for the JSON schema."""
+    """Settings of one coverage study.
+
+    The fields, in order, are the JSON schema of a study config (see README)
+    and of its ``config_echo.json``.  Two keys are renamed: ``n_values`` is
+    ``n``, and ``bend_back``, ``bend_back_points`` and ``bend_back_decades``
+    are the ``enabled``, ``points`` and ``decades`` keys of the ``bend_back``
+    group.  A key the JSON omits takes the field's default.  Building a
+    config, directly or through :meth:`from_dict`, normalises the values to
+    the field types and refuses the settings every replication would reject.
+    """
 
     structure: str
     t: float
@@ -97,17 +114,31 @@ class StudyConfig:
     threads: int = 1
 
     def __post_init__(self):
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        for f in fields(self):
+            if f.type in _CASTS:
+                put(f.name, _CASTS[f.type](getattr(self, f.name)))
+        put("n_values", tuple(int(n) for n in self.n_values))
+        put("methods", tuple(str(m) for m in self.methods))
+        put("components", tuple(dict(c) for c in self.components) if self.components else None)
+
+        if not 0.0 < self.t < math.inf:
+            raise ValueError("t must be positive and finite")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (0, 1)")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if not self.n_values or any(int(n) < 1 for n in self.n_values):
+        if not self.n_values or any(n < 1 for n in self.n_values):
             raise ValueError("n must be a non-empty list of positive sizes")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {list(METHODS)}")
         if not self.methods:
             raise ValueError("methods list is empty")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods {list(self.methods)} list a method twice")
         # the per-LCL checks, made here so that a study cannot die in replication 1
         if set(self.methods) - set(DELTA_METHODS) and self.B < ceil_index(1.0 / self.alpha):
             raise ValueError(f"B must be at least ceil(1/alpha) = {ceil_index(1.0 / self.alpha)}")
@@ -119,6 +150,8 @@ class StudyConfig:
             raise ValueError(
                 "give either explicit 'components' or 'family' + 'target_reliability'"
             )
+        for spec in self.components or ():
+            _component_model(spec)
         if self.target_reliability is not None:
             if self.family is None:
                 raise ValueError("target_reliability mode needs a 'family'")
@@ -126,6 +159,8 @@ class StudyConfig:
                 raise ValueError("target_reliability must lie inside (0, 1)")
         if self.censoring_fraction is not None and not 0.0 <= self.censoring_fraction < 1.0:
             raise ValueError("censoring_fraction must lie in [0, 1)")
+        if self.impute_mode not in IMPUTE_MODES:
+            raise ValueError(f"impute_mode must be one of {list(IMPUTE_MODES)}")
         if not 0.0 < self.lcl_quantile < 1.0:
             raise ValueError("lcl_quantile must lie inside (0, 1)")
         if self.bend_back_points < 2:
@@ -137,83 +172,52 @@ class StudyConfig:
     def from_dict(cls, raw: dict) -> "StudyConfig":
         if not isinstance(raw, dict):
             raise ConfigError("study config must be a JSON object")
-        known = {
-            "structure", "t", "n", "methods", "components", "family",
-            "target_reliability", "alpha", "B", "C", "replications", "seed",
-            "lcl_quantile", "censoring_fraction", "impute_mode", "bend_back",
-            "paper_literal_aux", "reimpute_in_resamples", "threads",
-        }
-        unknown = set(raw) - known
+        names = {_RENAMED.get(f.name, f.name): f for f in fields(cls) if f.name not in _BEND_BACK}
+        unknown = set(raw) - set(names) - {"bend_back"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("structure", "t", "n", "methods"):
-            if key not in raw:
+        for key, f in names.items():
+            if f.default is MISSING and key not in raw:
                 raise ConfigError(f"config is missing required key {key!r}")
-        bend = raw.get("bend_back", False)
+        kwargs = {names[key].name: value for key, value in raw.items() if key in names}
+        bend = raw.get("bend_back")
         if isinstance(bend, dict):
-            bad = set(bend) - {"enabled", "points", "decades"}
+            bad = set(bend) - set(_BEND_BACK.values())
             if bad:
                 raise ConfigError(f"unknown bend_back keys: {sorted(bad)}")
-            bend_enabled = bool(bend.get("enabled", True))
-            bend_points = int(bend.get("points", 50))
-            bend_decades = float(bend.get("decades", 1.0))
-        else:
-            bend_enabled = bool(bend)
-            bend_points, bend_decades = 50, 1.0
-        components = raw.get("components")
+            # a bend_back group switches the scan on unless it says otherwise
+            kwargs["bend_back"] = True
+            kwargs.update({name: bend[key] for name, key in _BEND_BACK.items() if key in bend})
+        elif "bend_back" in raw:
+            kwargs["bend_back"] = bend
         try:
-            return cls(
-                structure=str(raw["structure"]),
-                t=float(raw["t"]),
-                n_values=tuple(int(n) for n in raw["n"]),
-                methods=tuple(str(m) for m in raw["methods"]),
-                components=tuple(dict(c) for c in components) if components else None,
-                family=raw.get("family"),
-                target_reliability=raw.get("target_reliability"),
-                alpha=float(raw.get("alpha", 0.1)),
-                B=int(raw.get("B", 1000)),
-                C=int(raw.get("C", 500)),
-                replications=int(raw.get("replications", 1000)),
-                seed=int(raw.get("seed", 0)),
-                lcl_quantile=float(raw.get("lcl_quantile", 0.9)),
-                censoring_fraction=raw.get("censoring_fraction"),
-                impute_mode=str(raw.get("impute_mode", "mean")),
-                bend_back=bend_enabled,
-                bend_back_points=bend_points,
-                bend_back_decades=bend_decades,
-                paper_literal_aux=bool(raw.get("paper_literal_aux", False)),
-                reimpute_in_resamples=bool(raw.get("reimpute_in_resamples", False)),
-                threads=int(raw.get("threads", 1)),
-            )
+            return cls(**kwargs)
         except (TypeError, KeyError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "structure": self.structure,
-            "t": self.t,
-            "n": list(self.n_values),
-            "methods": list(self.methods),
-            "components": [dict(c) for c in self.components] if self.components else None,
-            "family": self.family,
-            "target_reliability": self.target_reliability,
-            "alpha": self.alpha,
-            "B": self.B,
-            "C": self.C,
-            "replications": self.replications,
-            "seed": self.seed,
-            "lcl_quantile": self.lcl_quantile,
-            "censoring_fraction": self.censoring_fraction,
-            "impute_mode": self.impute_mode,
-            "bend_back": {
-                "enabled": self.bend_back,
-                "points": self.bend_back_points,
-                "decades": self.bend_back_decades,
-            },
-            "paper_literal_aux": self.paper_literal_aux,
-            "reimpute_in_resamples": self.reimpute_in_resamples,
-            "threads": self.threads,
-        }
+        out = {}
+        for name, value in asdict(self).items():
+            value = list(value) if isinstance(value, tuple) else value
+            if name in _BEND_BACK:
+                out.setdefault("bend_back", {})[_BEND_BACK[name]] = value
+            else:
+                out[_RENAMED.get(name, name)] = value
+        return out
+
+
+def _component_model(spec: dict) -> ComponentModel:
+    """The model of one ``components`` entry: a family with its rate, or mu and sigma."""
+    try:
+        family = family_from_name(str(spec.get("family")))
+    except ValueError as exc:
+        raise ConfigError(f"component {spec}: {exc}") from None
+    needed = {"rate"} if isinstance(family, Exponential) else {"mu", "sigma"}
+    given = set(spec) - {"family"}
+    if given != needed:
+        raise ConfigError(f"{family.name} component {spec}: missing {sorted(needed - given)}, "
+                          f"unexpected {sorted(given - needed)}")
+    return ComponentModel(family, **{key: float(spec[key]) for key in needed})
 
 
 def solve_identical_components(node: StructureNode, family, target_r: float, t: float):
@@ -243,25 +247,12 @@ def _resolve_models(config: StudyConfig, node: StructureNode):
     if config.components is not None:
         if len(config.components) != s:
             raise ConfigError(f"structure references {s} components, config lists {len(config.components)}")
-        families, models = [], []
-        for spec in config.components:
-            family = family_from_name(spec["family"])
-            families.append(family)
-            if isinstance(family, Exponential):
-                models.append(ComponentModel(family, rate=float(spec["rate"])))
-            else:
-                models.append(ComponentModel(family, mu=float(spec["mu"]), sigma=float(spec["sigma"])))
-        return families, models, None
+        models = [_component_model(spec) for spec in config.components]
+        return [model.family for model in models], models, None
     family = family_from_name(config.family)
     models, r_star = solve_identical_components(node, family, config.target_reliability, config.t)
-    solved = []
-    for model in models[:1]:
-        if isinstance(family, Exponential):
-            solved.append({"family": family.name, "rate": model.rate, "per_component_r": r_star})
-        else:
-            solved.append({"family": family.name, "mu": model.mu, "sigma": model.sigma,
-                           "per_component_r": r_star})
-    return [family] * s, models, solved
+    params = {k: v for k, v in vars(models[0]).items() if k != "family" and v is not None}
+    return [family] * s, models, [{"family": family.name, **params, "per_component_r": r_star}]
 
 
 # --- single-LCL dispatch and LCL-versus-time curves --------------------------
@@ -377,22 +368,10 @@ class MethodCell:
     bend_back: Optional[int]
     boundary_hits: int
     median_ms: Optional[float]
-    mean_ms: Optional[float]
 
     def to_json_dict(self) -> dict:
         # timing stays out: the JSON report is byte-identical for a fixed seed
-        return {
-            "method": self.method,
-            "n": self.n,
-            "replications": self.replications,
-            "failures": self.failures,
-            "coverage": self.coverage,
-            "coverage_se": self.coverage_se,
-            "q_lcl": self.q_lcl,
-            "fell_outside": self.fell_outside,
-            "bend_back": self.bend_back,
-            "boundary_hits": self.boundary_hits,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "median_ms"}
 
 
 @dataclass(frozen=True)
@@ -473,17 +452,14 @@ def _one_replication(node, families, models, config: StudyConfig, master, ni, n,
 
     out = {}
     for mi, method in enumerate(config.methods):
-        is_delta = method in DELTA_METHODS
-        data = delta_data if is_delta else boot_data
-        masks = delta_masks if is_delta else None
+        data = delta_data if method in DELTA_METHODS else boot_data
         seed_m = child_seedseq(rep_seed, 1 + mi)
         start = time.perf_counter()
         try:
             res = compute_lcl(method, node, families, data, config.t, config.alpha,
                               config.B, config.C, seed_m,
                               paper_literal_aux=config.paper_literal_aux,
-                              censored_masks=masks,
-                              recensor_n_tilde=recensor if method == "dbp" else None)
+                              censored_masks=delta_masks, recensor_n_tilde=recensor)
             elapsed_ms = (time.perf_counter() - start) * 1e3
             rec = {
                 "error": None,
@@ -497,7 +473,7 @@ def _one_replication(node, families, models, config: StudyConfig, master, ni, n,
                 rec["bend_violations"] = detect_bend_back(
                     method, node, families, data, grid, config.alpha, config.B,
                     config.C, child_seedseq(rep_seed, 100 + mi),
-                    paper_literal_aux=config.paper_literal_aux, censored_masks=masks)
+                    paper_literal_aux=config.paper_literal_aux, censored_masks=delta_masks)
         except RelboundError as exc:
             rec = {"error": f"{type(exc).__name__}: {exc}"}
         out[method] = rec
@@ -540,20 +516,18 @@ def run_coverage_study(config: StudyConfig) -> CoverageReport:
                 q_lcl = lcl_quantile(lcls, config.lcl_quantile)
                 fell = falling_outside_count(raws)
                 boundary = int(sum(r["boundary_hits"] for r in ok))
-                times_ms = [r["ms"] for r in ok]
-                median_ms = float(statistics.median(times_ms))
-                mean_ms = float(statistics.fmean(times_ms))
+                median_ms = float(statistics.median(r["ms"] for r in ok))
                 bend = (sum(1 for r in ok if r.get("bend_violations", 0) > 0)
                         if config.bend_back else None)
             else:
-                coverage = coverage_se = q_lcl = median_ms = mean_ms = None
+                coverage = coverage_se = q_lcl = median_ms = None
                 fell = boundary = 0
                 bend = None
             cells.append(MethodCell(
                 method=method, n=n, replications=config.replications,
                 failures=failures, coverage=coverage, coverage_se=coverage_se,
                 q_lcl=q_lcl, fell_outside=fell, bend_back=bend,
-                boundary_hits=boundary, median_ms=median_ms, mean_ms=mean_ms))
+                boundary_hits=boundary, median_ms=median_ms))
     return CoverageReport(
         config=config.to_dict(),
         solved_components=solved,

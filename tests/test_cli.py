@@ -195,6 +195,23 @@ class TestSimulateCommand:
         cfg.write_text(json.dumps({"structure": "series(c1)"}))
         assert run_cli(["simulate", str(cfg), "--out", str(tmp_path / "o")]).returncode == 2
 
+    def test_bad_component_spec_exit_2(self, tmp_path):
+        config = {
+            "structure": "series(c1,c2)",
+            "t": 1.0,
+            "n": [6],
+            "methods": ["bp"],
+            "components": [{"family": "weibull", "mu": 0.0},
+                           {"family": "exponential", "rate": 1.0}],
+            "B": 20,
+            "replications": 1,
+        }
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        proc = run_cli(["simulate", str(cfg), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 2, proc.stderr
+        assert "sigma" in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestOtherCommands:
     def test_bendback_scan(self, request_file):

@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +97,78 @@ class TestConfig:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             small_config(methods=("bp", "wcf"))
+
+    def test_unknown_impute_mode_rejected(self):
+        with pytest.raises(ValueError, match="impute_mode"):
+            small_config(impute_mode="bogus", censoring_fraction=0.3)
+
+    def test_repeated_method_rejected(self):
+        # one record per method and replication: a repeat would report one LCL twice
+        with pytest.raises(ValueError, match="twice"):
+            small_config(methods=("bp", "bp"))
+
+    @pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, math.inf])
+    def test_mission_time_must_be_positive_and_finite(self, t):
+        with pytest.raises(ValueError, match="t must be"):
+            small_config(t=t)
+
+    @pytest.mark.parametrize("spec, problem", [
+        ({"family": "weibull", "mu": 0.0}, "missing ['sigma']"),
+        ({"family": "exponential", "rate": 1.0, "mu": 0.0}, "unexpected ['mu']"),
+        ({"family": "lognormal", "mu": 0.0, "sigma": 1.0, "sigam": 1.0}, "unexpected ['sigam']"),
+        ({"family": "gamma", "rate": 1.0}, "unknown family"),
+        ({"rate": 1.0}, "unknown family"),
+    ])
+    def test_component_spec_checked_against_its_family(self, spec, problem):
+        raw = {"structure": "series(c1,c2)", "t": 1.0, "n": [5], "methods": ["bp"],
+               "components": [{"family": "exponential", "rate": 2.0}, spec]}
+        with pytest.raises(ConfigError) as info:
+            StudyConfig.from_dict(raw)
+        assert problem in str(info.value)
+
+
+STUDY_CONFIGS = sorted(p for p in (Path(__file__).parent.parent / "configs").glob("*.json")
+                       if "methods" in json.loads(p.read_text()))
+
+
+class TestDerivedSchema:
+    @pytest.mark.parametrize("path", STUDY_CONFIGS, ids=lambda p: p.name)
+    def test_echo_round_trips(self, path):
+        config = StudyConfig.from_dict(json.loads(path.read_text()))
+        assert StudyConfig.from_dict(config.to_dict()) == config
+
+    def test_constructor_normalises_like_from_dict(self):
+        raw = {"structure": "series(c1,c2)", "t": 2, "n": [5, 10], "methods": ["bp", "dbpt"],
+               "components": [{"family": "weibull", "mu": 1, "sigma": 2},
+                              {"family": "exponential", "rate": 1}],
+               "alpha": 0.2, "B": 40.0, "C": 20, "bend_back": {"points": 5}}
+        kwargs = {"n_values" if key == "n" else key: value
+                  for key, value in raw.items() if key != "bend_back"}
+        direct = StudyConfig(**kwargs, bend_back=True, bend_back_points=5)
+        assert direct == StudyConfig.from_dict(raw)
+        assert direct.n_values == (5, 10) and direct.methods == ("bp", "dbpt")
+        assert isinstance(direct.components, tuple) and isinstance(direct.B, int)
+
+    def test_echo_carries_every_field(self):
+        # every field away from its default: a field the echo dropped would
+        # come back as its default and break the round trip
+        changed = dict(structure="parallel(c1,c2)", t=2.5, n_values=(4, 6),
+                       methods=("dbp", "delta"), family="lognormal", alpha=0.2, B=30,
+                       C=7, replications=3, seed=9, lcl_quantile=0.8,
+                       censoring_fraction=0.25, impute_mode="quantile", bend_back=True,
+                       bend_back_points=7, bend_back_decades=0.5, paper_literal_aux=True,
+                       reimpute_in_resamples=True, threads=2)
+        components = ({"family": "exponential", "rate": 0.5},) * 2
+        configs = [StudyConfig(**changed, components=components),
+                   StudyConfig(**changed, target_reliability=0.9)]
+        moved = {f.name for c in configs for f in fields(StudyConfig)
+                 if getattr(c, f.name) != f.default}
+        assert moved == {f.name for f in fields(StudyConfig)}
+        for config in configs:
+            echo = config.to_dict()
+            assert echo["n"] == [4, 6]
+            assert echo["bend_back"] == {"enabled": True, "points": 7, "decades": 0.5}
+            assert StudyConfig.from_dict(echo) == config
 
 
 class TestSolve:
