@@ -6,10 +6,13 @@ conventional nested double bootstrap (dbp) kept as a slow oracle.
 
 The bootstrap paths run on moment estimates.  Resampled component
 reliabilities are produced by the auxiliary-statistic transform rather than
-by dataset resampling; internally everything stays on the
-standardized-quantile scale (log-reliability scale for exponentials), where
-the nested transform is a plain affine map, and probabilities are
-materialized only to evaluate the structure function.
+by dataset resampling; internally everything stays on each family's scale
+(``LifetimeFamily.scale``: the standardized quantile, or the log reliability
+for exponentials), where the nested transform is a plain affine map, and
+probabilities are materialized only to evaluate the structure function.  A
+fitted component is its :class:`~relbound.estimators.MomentEstimate`; the
+family supplies the scale, the transform and the reliability, so no code
+here depends on which family it is.
 
 Every layer is computed over a 1-D array of G mission times.  The auxiliary
 statistics (the resampled datasets, for the oracle) are drawn once and
@@ -33,11 +36,11 @@ from typing import Sequence
 import numpy as np
 
 from .censoring import impute, type2_censor
-from .distributions import Exponential, LifetimeFamily
+from .distributions import ComponentModel, component_reliability, sample_lifetimes
 from .errors import EstimationError
-from .estimators import MomentEstimate, moment_estimate
+from .estimators import moment_estimate
 from .rng import generator, seed_entropy
-from .resampling import gen_aux_batch, transform_logr, transform_w
+from .resampling import gen_aux_batch, transform_scale
 from .results import LclResult, make_result
 from .selection import ceil_div, ceil_index, kth_smallest
 from .structures import StructureNode, eval_structure, num_components
@@ -48,36 +51,6 @@ _LAYER_ONE = 1
 _LAYER_TWO = 2
 _METHODS = ("bp", "bb", "dbpt", "dbp")
 _TWO_LAYER = ("dbpt", "dbp")
-
-
-@dataclass
-class _Fitted:
-    family: LifetimeFamily
-    estimate: MomentEstimate
-    n: int
-    is_exp: bool
-    params: dict  # the fitted mu and sigma, or rate for exponentials
-
-    def base(self, t, params=None):
-        """w = (log t - mu)/sigma at times ``t``, or log r = -rate*t for exponentials.
-
-        ``params`` swaps the fitted parameters for 1-D arrays of resampled
-        ones, giving one row per resample and one column per time.
-        """
-        p = self.params if params is None else {k: v[:, None] for k, v in params.items()}
-        if self.is_exp:
-            return -p["rate"] * t
-        return (np.log(t) - p["mu"]) / p["sigma"]
-
-    def transform(self, base, z, m, out=None):
-        """Scale values resampled from ``base`` by the auxiliary pairs (z, m)."""
-        if self.is_exp:
-            return transform_logr(base, m, out)
-        return transform_w(self.family, base, z, m, out)
-
-    def sf(self, vals):
-        """Reliability from scale values."""
-        return np.exp(vals) if self.is_exp else self.family.sf(vals)
 
 
 @dataclass
@@ -113,25 +86,9 @@ def _times(t) -> np.ndarray:
     return t
 
 
-def _fit_components(families, datasets):
-    comps = []
-    for family, data in zip(families, datasets):
-        est = moment_estimate(family, data)
-        is_exp = isinstance(family, Exponential)
-        params = {"rate": est.rate_hat} if is_exp else {"mu": est.mu_hat, "sigma": est.sigma_hat}
-        comps.append(_Fitted(family, est, est.n, is_exp, params))
-    return comps
-
-
-def _r_hat(structure, comps, t, params=None) -> np.ndarray:
-    """Plug-in system reliability at each time.
-
-    With ``params`` (per component, 1-D arrays of resampled parameters) it is
-    the (rows, G) system reliability of each row of resampled parameters.
-    """
-    params = [None] * len(comps) if params is None else params
-    return np.asarray(eval_structure(structure, [c.sf(c.base(t, p))
-                                                 for c, p in zip(comps, params)]))
+def _r_hat(structure, comps, t) -> np.ndarray:
+    """Plug-in system reliability at each time, from the fitted components."""
+    return np.asarray(eval_structure(structure, [component_reliability(c, t) for c in comps]))
 
 
 def _boundary_hits(r: np.ndarray, axis=None):
@@ -153,8 +110,10 @@ def _first_layer(structure, comps, t, aux):
     """
     vals_list, r_list, hits = [], [], 0
     for comp, (z_bar, m) in zip(comps, aux):
-        vals = comp.transform(comp.base(t)[None, :], z_bar[:, None], m[:, None])
-        r = comp.sf(vals)
+        family = comp.family
+        vals = transform_scale(family, family.scale(t, **comp.params)[None, :],
+                               z_bar[:, None], m[:, None])
+        r = family.reliability(vals)
         hits = hits + _boundary_hits(r, axis=0)
         vals_list.append(vals)
         r_list.append(r)
@@ -212,7 +171,8 @@ def _second_layer(structure, comps, vals1, aux2, r_hat):
         for g in range(G):
             r2_list = []
             for comp, v1, (z2, m2) in zip(comps, vals1, aux2):
-                r2 = comp.sf(comp.transform(v1[lo:hi, g, None], z2, m2, block))
+                family = comp.family
+                r2 = family.reliability(transform_scale(family, v1[lo:hi, g, None], z2, m2, block))
                 if scalar:
                     hits[g] += _boundary_hits(r2)
                 r2_list.append(r2)
@@ -243,7 +203,7 @@ def _run(method, structure, families, datasets, t, alpha, B, C, rng, paper_liter
     """Check, fit and run ``method`` at every time in ``t``; returns (comps, outcome)."""
     _check(structure, families, datasets, alpha, B, C if method in _TWO_LAYER else None)
     t = _times(t)
-    comps = _fit_components(families, datasets)
+    comps = [moment_estimate(family, data) for family, data in zip(families, datasets)]
     r_hat = _r_hat(structure, comps, t)
     if method == "dbp":
         return comps, _nested(structure, comps, t, r_hat, alpha, B, C, rng, recensor_n_tilde)
@@ -260,7 +220,7 @@ def _lcl(method, structure, families, datasets, t, alpha, B, C, rng,
         method, out.raw[0], out.r_hat[0], t, alpha, percentile=method != "bb",
         B=B, C=C, seed=seed_entropy(rng), boundary_hits=out.boundary_hits[0],
         ties=out.ties[0], ranks=out.ranks[0] if out.ranks else (None, None, None),
-        component_estimates=[c.estimate.summary() for c in comps],
+        component_estimates=[c.summary() for c in comps],
     )
 
 
@@ -323,34 +283,20 @@ def bootstrap_curve(method: str, structure: StructureNode, families, datasets, t
 # --- conventional nested double bootstrap (oracle) --------------------------
 
 
-def _sample_matrix(family, shape, rng, mu=None, sigma=None, rate=None):
-    if rate is not None:
-        return rng.standard_exponential(shape) / rate
-    return np.exp(mu + sigma * family.sample_standardized(shape, rng))
+def _resampled_fits(family, params, n, rows, rng, n_tilde):
+    """Moment estimates of ``rows`` datasets of size ``n`` drawn at ``params``.
 
-
-def _moment_params_rows(family, x: np.ndarray):
-    n = x.shape[-1]
-    if isinstance(family, Exponential):
-        return {"rate": n / x.sum(axis=-1)}
-    logs = np.log(x)
-    xbar = logs.mean(axis=-1)
-    s = logs.std(axis=-1, ddof=1)
-    if np.any(s == 0.0):
-        raise EstimationError("degenerate resample: all log lifetimes identical")
-    sigma = s / family.kappa2
-    return {"mu": xbar - family.kappa1 * sigma, "sigma": sigma}
-
-
-def _resampled_params(comp, params, rows, rng, n_tilde):
-    """Moment estimates of ``rows`` datasets drawn from the component at ``params``.
-
-    With ``n_tilde`` set, each dataset is Type-II censored and imputed first.
+    Each fitted parameter is a (rows,) array.  With ``n_tilde`` set, each
+    dataset is Type-II censored and imputed first.
     """
-    x = _sample_matrix(comp.family, (rows, comp.n), rng, **params)
-    if n_tilde is not None:
-        x = np.stack([impute(comp.family, type2_censor(row, n_tilde)) for row in x])
-    return _moment_params_rows(comp.family, x)
+    try:
+        x = sample_lifetimes(ComponentModel(family, **params), (rows, n), rng)
+        if n_tilde is not None:
+            x = np.stack([impute(family, type2_censor(row, n_tilde)) for row in x])
+        return moment_estimate(family, x)
+    except ValueError as exc:
+        # extreme parameters can draw times of 0 or inf, which no fit accepts
+        raise EstimationError(f"resampled dataset refused: {exc}") from None
 
 
 def _nested(structure, comps, t, r_hat, alpha, B, C, rng, recensor_n_tilde=None) -> _Outcome:
@@ -359,20 +305,24 @@ def _nested(structure, comps, t, r_hat, alpha, B, C, rng, recensor_n_tilde=None)
     Each first-layer row's C second-layer estimates are evaluated at all G
     times before the next row is drawn, so memory is O(C * G), not O(B * C).
     """
-    if recensor_n_tilde is not None and len(recensor_n_tilde) != len(comps):
-        raise ValueError("recensor_n_tilde must give one count per component")
+    if recensor_n_tilde is not None and not (
+            len(recensor_n_tilde) == len(comps)
+            and all(1 <= k <= c.n for k, c in zip(recensor_n_tilde, comps))):
+        raise ValueError("recensor_n_tilde must give one count in 1..n per component")
     n_tilde = recensor_n_tilde if recensor_n_tilde is not None else [None] * len(comps)
-    star = [_resampled_params(c, c.params, B, generator(rng, _LAYER_ONE, i), n_tilde[i])
+    star = [_resampled_fits(c.family, c.params, c.n, B, generator(rng, _LAYER_ONE, i), n_tilde[i])
             for i, c in enumerate(comps)]
-    r_star = _r_hat(structure, comps, t, star)
+    # (G, 1) times against (rows,) parameters: transposed, one row per resample
+    r_star = _r_hat(structure, star, t[:, None]).T
 
     rng2 = [generator(rng, _LAYER_TWO, i) for i in range(len(comps))]
     u_counts = np.empty(r_star.shape, dtype=np.int64)
     ties = np.zeros(t.size, dtype=np.int64)
     for j in range(B):
-        twostar = [_resampled_params(c, {k: v[j] for k, v in p.items()}, C, rng2[i], n_tilde[i])
-                   for i, (c, p) in enumerate(zip(comps, star))]
-        r_2star = _r_hat(structure, comps, t, twostar)
+        twostar = [_resampled_fits(c.family, {k: v[j] for k, v in e.params.items()}, c.n, C,
+                                   rng2[i], n_tilde[i])
+                   for i, (c, e) in enumerate(zip(comps, star))]
+        r_2star = _r_hat(structure, twostar, t[:, None]).T
         u_counts[j] = np.count_nonzero(r_2star <= r_hat, axis=0)
         ties += np.count_nonzero(r_2star == r_hat, axis=0)
     return _Outcome(*_select_dbpt(r_star, u_counts, B, C, alpha), r_hat,

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -161,10 +162,11 @@ def _load_request(path: str, args) -> dict:
     base = Path(path).parent
     by_id = {}
     for spec in specs:
-        if "id" not in spec or "family" not in spec:
-            raise ConfigError("each component needs 'id' and 'family'")
+        if not isinstance(spec, dict) or "id" not in spec or "family" not in spec:
+            raise ConfigError(f"component {spec!r}: each component is an object "
+                              "with 'id' and 'family'")
         ident = str(spec["id"])
-        if not ident.startswith("c"):
+        if not re.fullmatch(r"c[1-9][0-9]*", ident):
             raise ConfigError(f"component id {ident!r} must look like c1, c2, ...")
         index = int(ident[1:]) - 1
         if index in by_id:

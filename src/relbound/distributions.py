@@ -4,14 +4,24 @@ A family carries the standardized CDF of the log lifetime together with its
 population mean and standard deviation (kappa1, kappa2), which drive the
 moment estimators and the reliability transform.  Weibull lifetimes put a
 smallest-extreme-value distribution on the log scale; log-normal lifetimes a
-standard normal; the exponential is kept as its own one-parameter variant
-because its estimator and auxiliary law differ from the two-parameter path.
+standard normal.
+
+Each family also states its parameter names (``params``) and its scale: the
+value ``scale(t, **params)`` whose image under ``reliability`` is the
+component reliability at time t, and which the auxiliary transform maps
+affinely.  Two-parameter families use (mu, sigma) and the standardized
+quantile w = (log t - mu)/sigma with reliability sf(w).  The exponential is
+the one-parameter case: it uses the rate and the log reliability -rate*t.
+Beyond these attributes it differs in three places: its auxiliary law (a
+single gamma statistic, in ``resampling``), its likelihood, MLE and
+information (in ``estimators``), and its imputation by memorylessness (in
+``censoring``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,6 +58,15 @@ class LifetimeFamily:
     name: str = "abstract"
     kappa1: float
     kappa2: float
+    params: tuple = ("mu", "sigma")
+
+    def scale(self, t, mu, sigma):
+        """Scale value of the reliability at times ``t``: w = (log t - mu) / sigma."""
+        return (np.log(t) - mu) / sigma
+
+    def reliability(self, v):
+        """Reliability from scale values: sf(w)."""
+        return self.sf(v)
 
     def cdf(self, x):
         raise NotImplementedError
@@ -141,13 +160,22 @@ class Exponential(LifetimeFamily):
 
     On the log scale this is the unit smallest-extreme-value distribution with
     the scale pinned at one, so the standardized curve coincides with the
-    Weibull family's; the one-parameter estimation and auxiliary laws are
-    handled specially wherever it matters.
+    Weibull family's.  Its one parameter is the rate, and its scale value is
+    the log reliability -rate*t.
     """
 
     name = "exponential"
     kappa1 = -EULER_GAMMA
     kappa2 = SEV_KAPPA2
+    params = ("rate",)
+
+    def scale(self, t, rate):
+        """Log reliability at times ``t``: -rate * t."""
+        return -rate * t
+
+    def reliability(self, v):
+        """Reliability from log reliabilities: exp(v)."""
+        return np.exp(v)
 
     cdf = Weibull.cdf
     sf = Weibull.sf
@@ -246,8 +274,9 @@ def _check_prob(p):
 class ComponentModel:
     """Lifetime model of one component.
 
-    Two-parameter families store the log-lifetime location ``mu`` and scale
-    ``sigma`` (> 0); the exponential stores its rate in their place.
+    The model sets exactly the parameters its family lists in ``params``:
+    the log-lifetime location ``mu`` and scale ``sigma`` (> 0) for
+    two-parameter families, the rate (> 0) for the exponential.
     """
 
     family: LifetimeFamily
@@ -256,35 +285,47 @@ class ComponentModel:
     rate: Optional[float] = None
 
     def __post_init__(self):
-        if isinstance(self.family, Exponential):
-            if self.rate is None or not (np.isfinite(self.rate) and self.rate > 0):
-                raise ValueError("exponential model needs rate > 0")
-            if self.mu is not None or self.sigma is not None:
-                raise ValueError("exponential model takes only a rate")
-        else:
-            if self.rate is not None:
-                raise ValueError(f"{self.family.name} model takes (mu, sigma), not a rate")
-            if self.mu is None or not np.isfinite(self.mu):
-                raise ValueError("mu must be finite")
-            if self.sigma is None or not (np.isfinite(self.sigma) and self.sigma > 0):
-                raise ValueError("sigma must be > 0 (degenerate scale rejected)")
+        names = self.family.params
+        extra = [f.name for f in fields(self) if f.name != "family"
+                 and f.name not in names and getattr(self, f.name) is not None]
+        if extra:
+            raise ValueError(f"{self.family.name} model takes {names}, not {extra}")
+        for name in names:
+            value = getattr(self, name)
+            if value is None or not np.isfinite(value):
+                raise ValueError(f"{self.family.name} model needs a finite {name}")
+            # every parameter but the location is a positive scale or rate
+            if name != "mu" and value <= 0:
+                raise ValueError(f"{name} must be > 0 (degenerate scale rejected)")
+
+    @property
+    def params(self) -> dict:
+        """The parameters by name, in the order of ``family.params``."""
+        return {name: getattr(self, name) for name in self.family.params}
 
 
-def component_reliability(model: ComponentModel, t) -> "float | np.ndarray":
-    """P(T > t) for the component: 1 - F((log t - mu) / sigma), exp(-rate*t) for exponentials."""
+def component_reliability(model, t) -> "float | np.ndarray":
+    """P(T > t) for the component: ``family.reliability`` of its scale value at ``t``.
+
+    ``model`` is a :class:`ComponentModel` or any fit with the same
+    ``family`` and ``params``, such as a moment estimate.  Parameters that are
+    arrays broadcast against ``t``.
+    """
     t = np.asarray(t, dtype=float)
-    if not np.all(t > 0.0):
+    if not (t > 0.0).all():
         raise ValueError("mission time t must be > 0")
-    if isinstance(model.family, Exponential):
-        out = np.exp(-model.rate * t)
-    else:
-        out = model.family.sf((np.log(t) - model.mu) / model.sigma)
+    family = model.family
+    out = family.reliability(family.scale(t, **model.params))
     return float(out) if np.ndim(out) == 0 else out
 
 
-def sample_lifetimes(model: ComponentModel, n: int, rng=None) -> np.ndarray:
-    """Draw ``n`` failure times from the model."""
-    if n < 1:
+def sample_lifetimes(model: ComponentModel, n, rng=None) -> np.ndarray:
+    """Draw ``n`` failure times from the model; ``n`` is a count or a shape.
+
+    A shape such as ``(rows, n)`` draws the same values, in C order, as one
+    call for their total count.
+    """
+    if np.any(np.asarray(n) < 1):
         raise ValueError("need n >= 1")
     rng = generator(rng)
     if isinstance(model.family, Exponential):

@@ -47,7 +47,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Moment-based parameter estimate for one component."""
+    """Moment-based parameter estimate for one component.
+
+    The estimate of each parameter ``p`` in ``family.params`` is the field
+    ``p_hat``; a row-by-row fit holds one array entry per row.
+    """
 
     family: LifetimeFamily
     n: int
@@ -55,22 +59,20 @@ class MomentEstimate:
     sigma_hat: Optional[float] = None
     rate_hat: Optional[float] = None
 
+    @property
+    def params(self) -> dict:
+        """The estimates by parameter name, in the order of ``family.params``."""
+        return {name: getattr(self, f"{name}_hat") for name in self.family.params}
+
     def model(self) -> ComponentModel:
-        if isinstance(self.family, Exponential):
-            return ComponentModel(self.family, rate=self.rate_hat)
-        return ComponentModel(self.family, mu=self.mu_hat, sigma=self.sigma_hat)
+        return ComponentModel(self.family, **self.params)
 
     def r_hat_at(self, t) -> "float | np.ndarray":
-        return component_reliability(self.model(), t)
+        return component_reliability(self, t)
 
     def summary(self, estimator: str = "moment") -> dict:
-        out = {"family": self.family.name, "estimator": estimator, "n": self.n}
-        if isinstance(self.family, Exponential):
-            out["rate_hat"] = self.rate_hat
-        else:
-            out["mu_hat"] = self.mu_hat
-            out["sigma_hat"] = self.sigma_hat
-        return out
+        return {"family": self.family.name, "estimator": estimator, "n": self.n,
+                **{f"{name}_hat": value for name, value in self.params.items()}}
 
 
 class MleEstimate(MomentEstimate):
@@ -80,10 +82,12 @@ class MleEstimate(MomentEstimate):
         return super().summary(estimator)
 
 
-def _as_times(data) -> np.ndarray:
+def _as_times(data, ndim: int = 1) -> np.ndarray:
+    """Failure times as a float array: 1-D, or with ``ndim=2`` also (rows, n)."""
     times = np.asarray(data, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("data must be a non-empty 1-D array of failure times")
+    if times.ndim not in (1, ndim) or times.size == 0:
+        raise ValueError("data must be a non-empty 1-D array of failure times"
+                         + (", or a 2-D array of rows" if ndim == 2 else ""))
     if not np.all(np.isfinite(times)) or not np.all(times > 0.0):
         raise ValueError("failure times must be finite and > 0")
     return times
@@ -93,22 +97,29 @@ def moment_estimate(family: LifetimeFamily, data) -> MomentEstimate:
     """Moment-based fit: sigma = s/kappa2 and mu = xbar - kappa1*sigma on log times.
 
     The sample SD uses the n-1 divisor.  Exponential data instead yield
-    rate = n / sum(t), valid from n = 1.
+    rate = n / sum(t), valid from n = 1.  A (rows, n) array is fitted row
+    by row along its last axis, by the same arithmetic, and each estimate
+    is then a (rows,) array; a 1-D dataset gives floats.
     """
-    times = _as_times(data)
-    n = times.size
+    times = _as_times(data, ndim=2)
+    n = times.shape[-1]
     if isinstance(family, Exponential):
-        return MomentEstimate(family, n, rate_hat=n / float(times.sum()))
+        return MomentEstimate(family, n, rate_hat=_unwrap(n / times.sum(axis=-1)))
     if n < 2:
         raise EstimationError("two-parameter families need n >= 2 observations")
     x = np.log(times)
-    xbar = float(x.mean())
-    s = float(x.std(ddof=1))
-    if s == 0.0:
+    xbar = x.mean(axis=-1)
+    s = x.std(axis=-1, ddof=1)
+    if (s == 0.0).any():
         raise DegenerateSampleError("all log lifetimes identical; sample SD is zero")
     sigma = s / family.kappa2
     mu = xbar - family.kappa1 * sigma
-    return MomentEstimate(family, n, mu_hat=mu, sigma_hat=sigma)
+    return MomentEstimate(family, n, mu_hat=_unwrap(mu), sigma_hat=_unwrap(sigma))
+
+
+def _unwrap(value):
+    """A float for the fit of one dataset, the (rows,) array for a row-by-row fit."""
+    return float(value) if value.ndim == 0 else value
 
 
 def moment_reliability(family: LifetimeFamily, data, t) -> float:
@@ -352,14 +363,10 @@ def observed_information(family: LifetimeFamily, estimate: MomentEstimate,
     """
     times = _as_times(times)
     mask = _as_mask(censored_mask, times.size)
-    if isinstance(family, Exponential):
-        theta = np.array([estimate.rate_hat])
-    else:
-        theta = np.array([estimate.mu_hat, estimate.sigma_hat])
+    theta = np.array(list(estimate.params.values()))
 
     def f(th):
-        params = th[0] if th.size == 1 else (th[0], th[1])
-        return loglik(family, params, times, mask)
+        return loglik(family, th, times, mask)
 
     p = theta.size
     h = 1e-5 * np.maximum(1.0, np.abs(theta))

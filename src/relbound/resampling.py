@@ -32,6 +32,7 @@ __all__ = [
     "transform_reliability",
     "transform_w",
     "transform_logr",
+    "transform_scale",
 ]
 
 
@@ -110,6 +111,18 @@ def transform_w(family: LifetimeFamily, w, z_bar, m, out=None):
 def transform_logr(log_r, m, out=None):
     """Exponential-family transform on the log-reliability scale: log r / m."""
     return np.divide(log_r, m, out=out)
+
+
+def transform_scale(family: LifetimeFamily, v, z_bar, m, out=None):
+    """The transform on the family's scale (see ``LifetimeFamily.scale``).
+
+    Exponential log reliabilities go through :func:`transform_logr`, which
+    ignores ``z_bar``; the standardized quantiles of every other family go
+    through :func:`transform_w`.
+    """
+    if isinstance(family, Exponential):
+        return transform_logr(v, m, out)
+    return transform_w(family, v, z_bar, m, out)
 
 
 def transform_reliability(family: LifetimeFamily, r, aux: AuxStat):

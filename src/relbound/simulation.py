@@ -74,8 +74,27 @@ DELTA_METHODS = ("delta", "delta-standard")
 # three bend-back fields form the ``bend_back`` {enabled, points, decades} group.
 _RENAMED = {"n_values": "n"}
 _BEND_BACK = {"bend_back": "enabled", "bend_back_points": "points", "bend_back_decades": "decades"}
-# JSON numbers and flags take the type their field is annotated with
-_CASTS = {"str": str, "int": int, "float": float, "bool": bool}
+
+
+def _as_int(name, value) -> int:
+    """An int, or a float with an integral value such as 1000.0; nothing else."""
+    integral = (isinstance(value, (int, np.integer))
+                or isinstance(value, (float, np.floating)) and float(value).is_integer())
+    if not integral or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _as_bool(name, value) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return bool(value)
+
+
+# JSON values take the type their field is annotated with: strings and
+# floats are converted, ints and flags are checked
+_CASTS = {"str": lambda name, value: str(value), "int": _as_int,
+          "float": lambda name, value: float(value), "bool": _as_bool}
 
 
 @dataclass(frozen=True)
@@ -88,7 +107,9 @@ class StudyConfig:
     are the ``enabled``, ``points`` and ``decades`` keys of the ``bend_back``
     group.  A key the JSON omits takes the field's default.  Building a
     config, directly or through :meth:`from_dict`, normalises the values to
-    the field types and refuses the settings every replication would reject.
+    the field types and refuses the settings every replication would reject,
+    including a structure that does not parse, an unknown target-mode
+    ``family`` and a ``components`` list of the wrong length.
     """
 
     structure: str
@@ -119,8 +140,8 @@ class StudyConfig:
 
         for f in fields(self):
             if f.type in _CASTS:
-                put(f.name, _CASTS[f.type](getattr(self, f.name)))
-        put("n_values", tuple(int(n) for n in self.n_values))
+                put(f.name, _CASTS[f.type](f.name, getattr(self, f.name)))
+        put("n_values", tuple(_as_int("n", n) for n in self.n_values))
         put("methods", tuple(str(m) for m in self.methods))
         put("components", tuple(dict(c) for c in self.components) if self.components else None)
 
@@ -150,11 +171,16 @@ class StudyConfig:
             raise ValueError(
                 "give either explicit 'components' or 'family' + 'target_reliability'"
             )
+        s = num_components(parse_structure(self.structure))
+        if self.components is not None and len(self.components) != s:
+            raise ConfigError(f"structure references {s} components, "
+                              f"config lists {len(self.components)}")
         for spec in self.components or ():
             _component_model(spec)
         if self.target_reliability is not None:
             if self.family is None:
                 raise ValueError("target_reliability mode needs a 'family'")
+            family_from_name(self.family)
             if not 0.0 < self.target_reliability < 1.0:
                 raise ValueError("target_reliability must lie inside (0, 1)")
         if self.censoring_fraction is not None and not 0.0 <= self.censoring_fraction < 1.0:
@@ -207,17 +233,17 @@ class StudyConfig:
 
 
 def _component_model(spec: dict) -> ComponentModel:
-    """The model of one ``components`` entry: a family with its rate, or mu and sigma."""
+    """The model of one ``components`` entry: a family and each of its ``params``."""
     try:
         family = family_from_name(str(spec.get("family")))
     except ValueError as exc:
         raise ConfigError(f"component {spec}: {exc}") from None
-    needed = {"rate"} if isinstance(family, Exponential) else {"mu", "sigma"}
+    needed = set(family.params)
     given = set(spec) - {"family"}
     if given != needed:
         raise ConfigError(f"{family.name} component {spec}: missing {sorted(needed - given)}, "
                           f"unexpected {sorted(given - needed)}")
-    return ComponentModel(family, **{key: float(spec[key]) for key in needed})
+    return ComponentModel(family, **{key: float(spec[key]) for key in family.params})
 
 
 def solve_identical_components(node: StructureNode, family, target_r: float, t: float):
@@ -243,16 +269,13 @@ def solve_identical_components(node: StructureNode, family, target_r: float, t: 
 
 
 def _resolve_models(config: StudyConfig, node: StructureNode):
-    s = num_components(node)
     if config.components is not None:
-        if len(config.components) != s:
-            raise ConfigError(f"structure references {s} components, config lists {len(config.components)}")
         models = [_component_model(spec) for spec in config.components]
         return [model.family for model in models], models, None
     family = family_from_name(config.family)
     models, r_star = solve_identical_components(node, family, config.target_reliability, config.t)
-    params = {k: v for k, v in vars(models[0]).items() if k != "family" and v is not None}
-    return [family] * s, models, [{"family": family.name, **params, "per_component_r": r_star}]
+    return ([family] * len(models), models,
+            [{"family": family.name, **models[0].params, "per_component_r": r_star}])
 
 
 # --- single-LCL dispatch and LCL-versus-time curves --------------------------

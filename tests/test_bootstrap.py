@@ -10,7 +10,6 @@ from relbound.bootstrap import (
     _boundary_hits,
     _draw_aux,
     _first_layer,
-    _fit_components,
     _r_hat,
     _second_layer,
     _select_dbpt,
@@ -28,6 +27,8 @@ from relbound.distributions import (
     Generic,
     sample_lifetimes,
 )
+from relbound.errors import DegenerateSampleError, EstimationError
+from relbound.estimators import moment_estimate
 from relbound.rng import child_seedseq, generator
 from relbound.selection import ceil_div, ceil_index, kth_smallest
 from relbound.simulation import compute_lcl, default_t_grid, lcl_curve
@@ -43,7 +44,7 @@ def make_data(models, n, seed):
 
 def first_layer_at(structure, families, data, t, B, seed):
     """The fitted components and the one-point first layer at time ``t``."""
-    comps = _fit_components(families, data)
+    comps = [moment_estimate(f, d) for f, d in zip(families, data)]
     vals, r_star, _ = _first_layer(structure, comps, np.array([t]),
                                    _draw_aux(comps, B, seed, 1, False))
     return comps, [v[:, 0] for v in vals], r_star[:, 0]
@@ -235,6 +236,16 @@ class TestDbpOracle:
         with pytest.raises(ValueError):
             dbp_lcl_oracle(SINGLE, [EXPONENTIAL], data, 1.0, 0.1, 50, 0)
 
+    def test_resampled_datasets_the_fit_refuses_raise_typed_errors(self):
+        # a log spread of ~900 draws times that overflow to inf or underflow
+        # to 0; a spread of 4e-16 draws datasets of one repeated value
+        spread = [np.array([1e-200, 1e200, 1.0, 3.0])]
+        with np.errstate(over="ignore"), pytest.raises(EstimationError, match="refused"):
+            dbp_lcl_oracle(SINGLE, [WEIBULL], spread, 1.0, 0.1, 20, 10, rng=1)
+        tied = [np.array([1.0, 1.0 + 4e-16, 1.0])]
+        with pytest.raises(DegenerateSampleError):
+            dbp_lcl_oracle(SINGLE, [WEIBULL], tied, 1.0, 0.1, 20, 10, rng=1)
+
     def test_b1_selection_collapses_to_the_single_value(self):
         # at B = 1 the shared selection rule can only return the lone
         # first-layer value, whatever the second layer said (the public
@@ -318,12 +329,12 @@ def _unblocked_second_layer(structure, comps, vals1, aux2, r_hat):
     hits, r2_list = 0, []
     for i, comp in enumerate(comps):
         z2, m2 = aux2[i]
-        if comp.is_exp:
-            vals2 = vals1[i][:, None] / m2[None, :]
+        if comp.family is EXPONENTIAL:
+            r2 = np.exp(vals1[i][:, None] / m2[None, :])
         else:
             scale = comp.family.kappa2 / m2
-            vals2 = (vals1[i][:, None] - z2[None, :]) * scale[None, :] + comp.family.kappa1
-        r2 = comp.sf(vals2)
+            r2 = comp.family.sf((vals1[i][:, None] - z2[None, :]) * scale[None, :]
+                                + comp.family.kappa1)
         hits += _boundary_hits(r2)
         r2_list.append(r2)
     r_2star = np.asarray(eval_structure(structure, r2_list))
@@ -337,7 +348,7 @@ def _layers(structure, family, B, C, seed, G=1):
         models = [ComponentModel(family, rate=1.0)] * s
     else:
         models = [ComponentModel(family, mu=0.3, sigma=0.8)] * s
-    comps = _fit_components([family] * s, make_data(models, 5, seed))
+    comps = [moment_estimate(family, d) for d in make_data(models, 5, seed)]
     t = np.array(KERNEL_TIMES[:G])
     vals1, _, _ = _first_layer(structure, comps, t, _draw_aux(comps, B, seed, 1, False))
     return comps, vals1, _draw_aux(comps, C, seed, 2, False), _r_hat(structure, comps, t)

@@ -127,6 +127,18 @@ class TestLclCommand:
         bad.write_text(json.dumps(raw))
         assert run_cli(["lcl", str(bad)], cwd=tmp_path).returncode == 2
 
+    @pytest.mark.parametrize("command", ["lcl", "bendback-scan"])
+    @pytest.mark.parametrize("entry", [5, {"id": "cx", "family": "weibull", "times": [1.0, 2.0]}],
+                             ids=["not-an-object", "id-without-number"])
+    def test_malformed_component_entry_exit_2(self, request_file, tmp_path, capsys,
+                                              command, entry):
+        raw = json.loads(request_file.read_text())
+        raw["components"][0] = entry
+        bad = tmp_path / "entry.json"
+        bad.write_text(json.dumps(raw))
+        assert main([command, str(bad), "--B", "20"]) == 2
+        assert "component" in capsys.readouterr().err
+
     def test_censored_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
         times = np.sort(rng.exponential(1.0, 10))

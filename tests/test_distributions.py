@@ -100,6 +100,56 @@ class TestSampling:
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):
             sample_lifetimes(ComponentModel(EXPONENTIAL, rate=1.0), 0)
+        with pytest.raises(ValueError):
+            sample_lifetimes(ComponentModel(EXPONENTIAL, rate=1.0), (3, 0))
+
+
+FOUR_KINDS = {"weibull": WEIBULL, "lognormal": LOGNORMAL, "exponential": EXPONENTIAL,
+              "generic": logistic_family()}
+
+
+def model_of(family):
+    """A model with a different value for each parameter the family names."""
+    return ComponentModel(family, **{name: 0.7 + 0.1 * i for i, name in enumerate(family.params)})
+
+
+def matrix_sampler(model, shape, rng):
+    # the nested oracle's former private sampler, kept as the reference
+    if model.rate is not None:
+        return rng.standard_exponential(shape) / model.rate
+    return np.exp(model.mu + model.sigma * model.family.sample_standardized(shape, rng))
+
+
+@pytest.mark.parametrize("family", FOUR_KINDS.values(), ids=FOUR_KINDS.keys())
+class TestFamilyParams:
+    def test_model_sets_exactly_the_named_parameters(self, family):
+        model = model_of(family)
+        assert tuple(model.params) == family.params
+        unused = {"mu", "sigma", "rate"} - set(family.params)
+        assert all(getattr(model, name) is None for name in unused)
+        for name in family.params:
+            with pytest.raises(ValueError):
+                ComponentModel(family, **{k: v for k, v in model.params.items() if k != name})
+        for name in unused:
+            with pytest.raises(ValueError):
+                ComponentModel(family, **model.params, **{name: 1.0})
+
+    def test_reliability_of_the_scale_is_the_component_reliability(self, family):
+        model, t = model_of(family), np.array([0.2, 1.0, 3.0])
+        if family is EXPONENTIAL:
+            expected = np.exp(-model.rate * t)
+        else:
+            expected = family.sf((np.log(t) - model.mu) / model.sigma)
+        assert component_reliability(model, t).tobytes() == expected.tobytes()
+        assert component_reliability(model, 1.0) == float(expected[1])
+
+    def test_shaped_draws_match_the_matrix_sampler(self, family):
+        model = model_of(family)
+        shaped = sample_lifetimes(model, (4, 7), rng=np.random.default_rng(3))
+        assert shaped.shape == (4, 7)
+        assert shaped.tobytes() == matrix_sampler(model, (4, 7), np.random.default_rng(3)).tobytes()
+        flat = sample_lifetimes(model, 28, rng=np.random.default_rng(3))
+        assert shaped.ravel().tobytes() == flat.tobytes()
 
 
 class TestStandardized:

@@ -11,6 +11,7 @@ from relbound.distributions import (
     LOGNORMAL,
     WEIBULL,
     ComponentModel,
+    Generic,
     component_reliability,
     sample_lifetimes,
 )
@@ -72,6 +73,45 @@ class TestMomentEstimate:
         scaled = moment_estimate(WEIBULL, c * data)
         assert scaled.sigma_hat == pytest.approx(base.sigma_hat, rel=1e-10)
         assert scaled.mu_hat == pytest.approx(base.mu_hat + math.log(c), rel=1e-10, abs=1e-10)
+
+
+LOGISTIC = Generic(cdf=lambda x: 1.0 / (1.0 + np.exp(-x)),
+                   quantile=lambda p: np.log(p / (1.0 - p)),
+                   sample=lambda shape, rng: rng.logistic(size=shape),
+                   kappa1=0.0, kappa2=math.pi / math.sqrt(3.0), name="logistic")
+FOUR_KINDS = {"weibull": WEIBULL, "lognormal": LOGNORMAL, "exponential": EXPONENTIAL,
+              "generic": LOGISTIC}
+
+
+@pytest.mark.parametrize("family", FOUR_KINDS.values(), ids=FOUR_KINDS.keys())
+class TestRowFits:
+    @pytest.mark.parametrize("n", [2, 5, 37, 300])
+    def test_each_row_fit_is_the_one_dimensional_fit(self, family, n):
+        x = np.random.default_rng(n).lognormal(0.3, 0.9, size=(6, n))
+        rows = moment_estimate(family, x)
+        assert rows.n == n
+        for name, values in rows.params.items():
+            assert values.shape == (6,)
+            for j in range(6):
+                one = moment_estimate(family, x[j]).params[name]
+                assert type(one) is float
+                assert np.float64(one).tobytes() == values[j].tobytes()
+
+    def test_summary_and_model_follow_the_family_params(self, family):
+        est = moment_estimate(family, [0.5, 1.0, 2.5])
+        assert list(est.params) == list(family.params)
+        assert list(est.summary()) == ["family", "estimator", "n",
+                                       *(f"{name}_hat" for name in family.params)]
+        assert est.model().params == est.params
+        assert est.r_hat_at(1.3) == component_reliability(est.model(), 1.3)
+
+
+def test_a_degenerate_row_fails_the_row_fit():
+    x = np.array([[1.0, 2.0, 3.0], [2.0, 2.0, 2.0]])
+    with pytest.raises(DegenerateSampleError):
+        moment_estimate(WEIBULL, x)
+    with pytest.raises(ValueError, match="2-D array of rows"):
+        moment_estimate(WEIBULL, x[None])
 
 
 class TestMomentReliability:

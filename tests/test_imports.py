@@ -1,7 +1,8 @@
 """Import-level guards on the package source.
 
-No relbound module imports a private name from another relbound module, and
-the study harness looks up the callees the benchmark wraps as module globals.
+No relbound module imports a private name from another relbound module, the
+bootstrap layers name no lifetime family, and the study harness looks up the
+callees the benchmark wraps as module globals.
 """
 
 import ast
@@ -39,6 +40,34 @@ def test_no_module_imports_another_modules_private_names():
     found = {path.name: private_imports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+FAMILY_CLASSES = {"Exponential", "Weibull", "LogNormal", "Generic"}
+
+
+def names_used(source: str) -> set:
+    """Every name the source imports, reads, binds or reaches as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {part for a in node.names for part in (a.name, a.asname) if part}
+    return found
+
+
+def test_family_guard_sees_names():
+    assert names_used("from .distributions import Exponential as E\nx = d.Weibull") >= {
+        "Exponential", "E", "Weibull"}
+    assert names_used('"""Exponential lifetimes."""') == set()
+
+
+def test_bootstrap_names_no_family_class():
+    # the layers reach a family only through its attributes, so every
+    # family, caller-supplied ones included, runs the same code
+    assert names_used((PACKAGE / "bootstrap.py").read_text()) & FAMILY_CLASSES == set()
 
 
 # The benchmark's traced run swaps these callees for timing wrappers on the

@@ -5,15 +5,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
+from relbound import simulation
 from relbound.distributions import (
     EXPONENTIAL,
+    LOGNORMAL,
     WEIBULL,
     ComponentModel,
+    Generic,
     component_reliability,
     sample_lifetimes,
 )
-from relbound.errors import ConfigError
+from relbound.errors import ConfigError, StructureParseError
 from relbound.simulation import (
     StudyConfig,
     compute_lcl,
@@ -125,6 +129,51 @@ class TestConfig:
         with pytest.raises(ConfigError) as info:
             StudyConfig.from_dict(raw)
         assert problem in str(info.value)
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("paper_literal_aux", "false"), ("bend_back", "no"), ("reimpute_in_resamples", 1),
+        ("B", 999.7), ("C", "500"), ("replications", True), ("seed", math.nan),
+        ("threads", 2.5), ("n", [5.9]), ("n", ["5"]),
+    ])
+    def test_flags_and_counts_are_checked_not_coerced(self, key, value):
+        raw = {"structure": "series(c1)", "t": 1.0, "n": [5], "methods": ["bp", "dbpt"],
+               "family": "weibull", "target_reliability": 0.9, key: value}
+        with pytest.raises(ValueError, match="must be"):
+            StudyConfig.from_dict(raw)
+
+    def test_integral_floats_count_as_ints(self):
+        config = small_config(B=1000.0, C=np.int64(500), n_values=(8.0,), bend_back=np.bool_(True))
+        assert (config.B, config.C, config.n_values, config.bend_back) == (1000, 500, (8,), True)
+        assert type(config.B) is int and type(config.bend_back) is bool
+
+    def test_structure_parsed_when_built(self):
+        with pytest.raises(StructureParseError):
+            small_config(structure="series(c1,")
+
+    def test_target_family_resolved_when_built(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            small_config(family="gamma")
+
+    def test_component_count_checked_when_built(self):
+        with pytest.raises(ConfigError, match="references 2 components"):
+            small_config(family=None, target_reliability=None,
+                         components=({"family": "exponential", "rate": 1.0},))
+
+
+@pytest.mark.parametrize("family", [WEIBULL, LOGNORMAL, EXPONENTIAL,
+                                    Generic(cdf=ndtr, quantile=ndtri, kappa1=0.0, kappa2=1.0,
+                                            sample=lambda shape, rng: rng.standard_normal(shape))],
+                         ids=["weibull", "lognormal", "exponential", "generic"])
+def test_component_entry_takes_the_family_params(monkeypatch, family):
+    monkeypatch.setattr(simulation, "family_from_name", lambda name: family)
+    values = {name: 0.5 + i for i, name in enumerate(family.params)}
+    model = simulation._component_model({"family": family.name, **values})
+    assert model.params == values
+    for name in family.params:
+        with pytest.raises(ConfigError, match=f"missing \\['{name}'\\]"):
+            simulation._component_model({"family": family.name,
+                                         **{k: v for k, v in values.items() if k != name}})
 
 
 STUDY_CONFIGS = sorted(p for p in (Path(__file__).parent.parent / "configs").glob("*.json")
