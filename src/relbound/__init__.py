@@ -50,6 +50,7 @@ from .estimators import (
 from .resampling import AuxStat, gen_aux, gen_aux_batch, transform_reliability
 from .simulation import (
     CoverageReport,
+    LclRequest,
     MethodCell,
     StudyConfig,
     bend_back_violations,

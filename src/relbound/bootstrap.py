@@ -36,16 +36,17 @@ from typing import Sequence
 import numpy as np
 
 from .censoring import impute, type2_censor
-from .distributions import ComponentModel, component_reliability, sample_lifetimes
+from .distributions import ComponentModel, component_reliability, mission_times, sample_lifetimes
 from .errors import EstimationError
 from .estimators import moment_estimate
 from .rng import generator, seed_entropy
 from .resampling import gen_aux_batch, transform_scale
-from .results import LclResult, make_result
+from .results import LclResult
 from .selection import ceil_div, ceil_index, kth_smallest
 from .structures import StructureNode, eval_structure, num_components
 
-__all__ = ["LclResult", "bp_lcl", "bb_lcl", "dbpt_lcl", "dbp_lcl_oracle", "bootstrap_curve"]
+__all__ = ["LclResult", "bp_lcl", "bb_lcl", "dbpt_lcl", "dbp_lcl_oracle", "bootstrap_curve",
+           "check_bootstrap_settings"]
 
 _LAYER_ONE = 1
 _LAYER_TWO = 2
@@ -64,26 +65,16 @@ class _Outcome:
     ties: np.ndarray
 
 
-def _check(structure, families, datasets, alpha, B, C=None):
-    """Input checks shared by the scalar LCLs and the curve; ``C`` is the two-layer size."""
-    s = num_components(structure)
+def check_bootstrap_settings(method, alpha, B, C):
+    """Refuse the settings every LCL of ``method`` would refuse; ``C`` is read by dbpt and dbp."""
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
     if B < ceil_index(1.0 / alpha):
         raise ValueError(f"B must be at least ceil(1/alpha) = {ceil_index(1.0 / alpha)}")
-    if C is not None and C < 1:
+    if method in _TWO_LAYER and C < 1:
         raise ValueError("C must be >= 1")
-    if len(families) != s or len(datasets) != s:
-        raise ValueError(f"structure has {s} components; families/datasets must match")
-
-
-def _times(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("t_grid must be a non-empty 1-D array")
-    if np.any(t <= 0):
-        raise ValueError("mission time t must be > 0")
-    return t
 
 
 def _r_hat(structure, comps, t) -> np.ndarray:
@@ -101,18 +92,17 @@ def _draw_aux(comps, size, rng, layer, paper_literal):
             for i, c in enumerate(comps)]
 
 
-def _first_layer(structure, comps, t, aux):
-    """The transformed first layer at every time.
+def _first_layer(structure, comps, scales, aux):
+    """The transformed first layer at every time, from each component's (G,) fitted scale values.
 
     Returns ``(vals, r_star, hits)``: per component the (B, G) scale values,
     the (B, G) system values, and per time the component values equal to 0
     or 1.
     """
     vals_list, r_list, hits = [], [], 0
-    for comp, (z_bar, m) in zip(comps, aux):
+    for comp, scale, (z_bar, m) in zip(comps, scales, aux):
         family = comp.family
-        vals = transform_scale(family, family.scale(t, **comp.params)[None, :],
-                               z_bar[:, None], m[:, None])
+        vals = transform_scale(family, scale[None, :], z_bar[:, None], m[:, None])
         r = family.reliability(vals)
         hits = hits + _boundary_hits(r, axis=0)
         vals_list.append(vals)
@@ -183,9 +173,10 @@ def _second_layer(structure, comps, vals1, aux2, r_hat):
     return u_counts, hits, ties
 
 
-def _transformed(method, structure, comps, t, r_hat, alpha, B, C, rng, paper_literal) -> _Outcome:
-    """bp, bb or dbpt at every time in ``t``, from auxiliary draws made once."""
-    vals1, r_star, hits = _first_layer(structure, comps, t,
+def _transformed(method, structure, comps, scales, r_hat, alpha, B, C, rng,
+                 paper_literal) -> _Outcome:
+    """bp, bb or dbpt at every time, from auxiliary draws made once."""
+    vals1, r_star, hits = _first_layer(structure, comps, scales,
                                        _draw_aux(comps, B, rng, _LAYER_ONE, paper_literal))
     if method in ("bp", "bb"):
         q = alpha if method == "bp" else 1.0 - alpha
@@ -201,13 +192,21 @@ def _transformed(method, structure, comps, t, r_hat, alpha, B, C, rng, paper_lit
 def _run(method, structure, families, datasets, t, alpha, B, C, rng, paper_literal,
          recensor_n_tilde=None):
     """Check, fit and run ``method`` at every time in ``t``; returns (comps, outcome)."""
-    _check(structure, families, datasets, alpha, B, C if method in _TWO_LAYER else None)
-    t = _times(t)
+    check_bootstrap_settings(method, alpha, B, C)
+    s = num_components(structure)
+    if len(families) != s or len(datasets) != s:
+        raise ValueError(f"structure has {s} components; families/datasets must match")
+    t = mission_times(t)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError("t_grid must be a non-empty 1-D array")
     comps = [moment_estimate(family, data) for family, data in zip(families, datasets)]
-    r_hat = _r_hat(structure, comps, t)
     if method == "dbp":
-        return comps, _nested(structure, comps, t, r_hat, alpha, B, C, rng, recensor_n_tilde)
-    return comps, _transformed(method, structure, comps, t, r_hat, alpha, B, C, rng,
+        return comps, _nested(structure, comps, t, _r_hat(structure, comps, t), alpha, B, C,
+                              rng, recensor_n_tilde)
+    scales = [c.family.scale(t, **c.params) for c in comps]
+    r_hat = np.asarray(eval_structure(structure, [c.family.reliability(v)
+                                                  for c, v in zip(comps, scales)]))
+    return comps, _transformed(method, structure, comps, scales, r_hat, alpha, B, C, rng,
                                paper_literal)
 
 
@@ -216,12 +215,11 @@ def _lcl(method, structure, families, datasets, t, alpha, B, C, rng,
     """A scalar LCL: the one-point case of the curve, with its diagnostics."""
     comps, out = _run(method, structure, families, datasets, [float(t)], alpha, B, C, rng,
                       paper_literal, recensor_n_tilde=recensor_n_tilde)
-    return make_result(
-        method, out.raw[0], out.r_hat[0], t, alpha, percentile=method != "bb",
-        B=B, C=C, seed=seed_entropy(rng), boundary_hits=out.boundary_hits[0],
-        ties=out.ties[0], ranks=out.ranks[0] if out.ranks else (None, None, None),
-        component_estimates=[c.summary() for c in comps],
-    )
+    u_k, k, k_prime = out.ranks[0] if out.ranks else (None, None, None)
+    return LclResult(method=method, raw_value=out.raw[0], r_hat=out.r_hat[0],
+                     component_estimates=[c.summary() for c in comps], seed=seed_entropy(rng),
+                     t=t, alpha=alpha, B=B, C=C, boundary_hits=out.boundary_hits[0],
+                     ties=out.ties[0], u_k=u_k, k=k, k_prime=k_prime, percentile=method != "bb")
 
 
 def bp_lcl(structure: StructureNode, families, datasets, t, alpha: float = 0.1,
@@ -273,8 +271,6 @@ def bootstrap_curve(method: str, structure: StructureNode, families, datasets, t
     ``rng``, bit for bit.  Inputs are checked as the scalar method checks
     them; ``C`` is used only by dbpt and dbp.
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
     _, out = _run(method, structure, families, datasets, t_grid, alpha, B, C, rng,
                   paper_literal_aux)
     return out.raw

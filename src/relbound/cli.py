@@ -2,9 +2,11 @@
 
 Commands: ``lcl`` (one LCL from a request file), ``simulate`` (coverage study
 from a config file), ``bendback-scan`` (LCL-versus-time monotonicity scan),
-``perf-probe`` (dbpt versus nested-oracle runtime scaling).  Results are
-printed / written as JSON with floats at 17 significant digits; study output
-files are written atomically (write-then-rename).
+``perf-probe`` (dbpt versus nested-oracle runtime scaling).  Request and
+config files load as an ``LclRequest`` and a ``StudyConfig``, whose checks
+the command-line overrides pass too.  Results are printed / written as JSON
+with floats at 17 significant digits; study output files are written
+atomically (write-then-rename).
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import argparse
 import csv
 import json
 import os
-import re
 import sys
 import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,7 @@ from .errors import (
 )
 from .simulation import (
     DELTA_METHODS,
+    LclRequest,
     StudyConfig,
     bend_back_violations,
     compute_lcl,
@@ -41,7 +44,7 @@ from .simulation import (
     run_coverage_study,
     runtime_scaling_probe,
 )
-from .structures import num_components, parse_structure
+from .structures import parse_structure
 
 EXIT_PARSE = 2
 EXIT_ESTIMATION = 3
@@ -141,90 +144,41 @@ def _read_times_csv(path: Path):
     return np.asarray(times), np.asarray(flags, dtype=bool)
 
 
-def _load_request(path: str, args) -> dict:
-    raw = _load_json(path)
-    if not isinstance(raw, dict):
-        raise ConfigError("request must be a JSON object")
-    known = {"structure", "components", "t", "alpha", "method", "B", "C", "seed"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown request keys: {sorted(unknown)}")
-    for key in ("structure", "components", "t"):
-        if key not in raw:
-            raise ConfigError(f"request is missing required key {key!r}")
-
-    node = parse_structure(str(raw["structure"]))
-    s = num_components(node)
-    specs = raw["components"]
-    if not isinstance(specs, list) or len(specs) != s:
-        raise ConfigError(f"structure references {s} components, request lists "
-                          f"{len(specs) if isinstance(specs, list) else 'no'}")
-    base = Path(path).parent
-    by_id = {}
-    for spec in specs:
-        if not isinstance(spec, dict) or "id" not in spec or "family" not in spec:
-            raise ConfigError(f"component {spec!r}: each component is an object "
-                              "with 'id' and 'family'")
-        ident = str(spec["id"])
-        if not re.fullmatch(r"c[1-9][0-9]*", ident):
-            raise ConfigError(f"component id {ident!r} must look like c1, c2, ...")
-        index = int(ident[1:]) - 1
-        if index in by_id:
-            raise ConfigError(f"duplicate component id {ident!r}")
-        family = family_from_name(str(spec["family"]))
-        if "times" in spec:
-            times = np.asarray(spec["times"], dtype=float)
-            flags = np.asarray(spec.get("censored", np.zeros(times.size)), dtype=float).astype(bool)
-        elif "data_file" in spec:
-            times, flags = _read_times_csv(base / spec["data_file"])
-        else:
-            raise ConfigError(f"component {ident}: needs inline 'times' or a 'data_file'")
-        if flags.shape != times.shape:
-            raise ConfigError(f"component {ident}: censored flags must align with times")
-        by_id[index] = (family, times, flags)
-    missing = [i for i in range(s) if i not in by_id]
-    if missing:
-        raise ConfigError(f"missing components {[f'c{i + 1}' for i in missing]}")
-
-    return {
-        "node": node,
-        "families": [by_id[i][0] for i in range(s)],
-        "times": [by_id[i][1] for i in range(s)],
-        "flags": [by_id[i][2] for i in range(s)],
-        "t": float(args.t if args.t is not None else raw["t"]),
-        "alpha": float(args.alpha if args.alpha is not None else raw.get("alpha", 0.1)),
-        "method": str(args.method or raw.get("method", "dbpt")),
-        "B": int(args.B if args.B is not None else raw.get("B", 1000)),
-        "C": int(args.C if args.C is not None else raw.get("C", 500)),
-        "seed": int(args.seed if args.seed is not None else raw.get("seed", 0)),
-        "paper_literal_aux": bool(getattr(args, "paper_literal_aux", False)),
-    }
-
-
-def _method_data(req):
-    """The data and censoring masks the request's method consumes.
+def _load_request(args):
+    """The request with its overrides, its families, and the datasets and masks its method uses.
 
     Bootstrap methods consume imputed complete data; delta keeps the censored
     times and their masks.
     """
-    censored = any(f.any() for f in req["flags"])
-    if req["method"] in DELTA_METHODS:
-        return req["times"], req["flags"] if censored else None
-    return [impute(family, CensoredDataset(times, flags)) if flags.any() else times
-            for family, times, flags in zip(req["families"], req["times"], req["flags"])], None
+    request = LclRequest.from_dict(_load_json(args.request))
+    request = replace(request, **{f.name: getattr(args, f.name) for f in fields(LclRequest)
+                                  if getattr(args, f.name, None) is not None})
+    families = [family_from_name(spec["family"]) for spec in request.components]
+    times, flags = [], []
+    for spec in request.components:
+        if "times" in spec:
+            x = np.asarray(spec["times"], dtype=float)
+            mask = np.asarray(spec.get("censored", np.zeros(x.size)), dtype=float).astype(bool)
+        else:
+            x, mask = _read_times_csv(Path(args.request).parent / spec["data_file"])
+        if mask.shape != x.shape:
+            raise ConfigError(f"component {spec['id']}: censored flags must align with times")
+        times.append(x)
+        flags.append(mask)
+    if request.method in DELTA_METHODS:
+        return request, families, times, flags if any(m.any() for m in flags) else None
+    return request, families, [impute(family, CensoredDataset(x, mask)) if mask.any() else x
+                               for family, x, mask in zip(families, times, flags)], None
 
 
 # --- commands ----------------------------------------------------------------
 
 
 def cmd_lcl(args) -> int:
-    req = _load_request(args.request, args)
-    data, masks = _method_data(req)
-    result = compute_lcl(
-        req["method"], req["node"], req["families"], data,
-        req["t"], req["alpha"], req["B"], req["C"], req["seed"],
-        paper_literal_aux=req["paper_literal_aux"], censored_masks=masks,
-    )
+    request, families, datasets, masks = _load_request(args)
+    result = compute_lcl(request.method, parse_structure(request.structure), families, datasets,
+                         request.t, request.alpha, request.B, request.C, request.seed,
+                         paper_literal_aux=args.paper_literal_aux, censored_masks=masks)
     sys.stdout.write(dumps(result.to_dict()))
     return 0
 
@@ -251,27 +205,24 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bendback_scan(args) -> int:
-    req = _load_request(args.request, args)
-    data, masks = _method_data(req)
+    request, families, datasets, masks = _load_request(args)
     if args.t_min is not None and args.t_max is not None:
         if not 0 < args.t_min < args.t_max:
             raise ValueError("need 0 < t-min < t-max")
         grid = np.logspace(np.log10(args.t_min), np.log10(args.t_max), args.points)
     else:
-        grid = default_t_grid(req["t"], args.points, args.decades)
-    curve = lcl_curve(
-        req["method"], req["node"], req["families"], data, grid,
-        req["alpha"], req["B"], req["C"], req["seed"],
-        paper_literal_aux=req["paper_literal_aux"], censored_masks=masks,
-    )
+        grid = default_t_grid(request.t, args.points, args.decades)
+    curve = lcl_curve(request.method, parse_structure(request.structure), families, datasets,
+                      grid, request.alpha, request.B, request.C, request.seed,
+                      paper_literal_aux=args.paper_literal_aux, censored_masks=masks)
     violations = bend_back_violations(curve)
     sys.stdout.write(dumps({
-        "method": req["method"],
+        "method": request.method,
         "violations": violations,
         "bend_back": violations > 0,
         "t_grid": list(grid),
         "lcl": list(curve),
-        "seed": req["seed"],
+        "seed": request.seed,
     }))
     return 0
 

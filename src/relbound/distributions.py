@@ -41,6 +41,7 @@ __all__ = [
     "family_from_name",
     "ComponentModel",
     "component_reliability",
+    "mission_times",
     "sample_lifetimes",
     "time_at_reliability",
     "standardized_cdf",
@@ -304,6 +305,14 @@ class ComponentModel:
         return {name: getattr(self, name) for name in self.family.params}
 
 
+def mission_times(t) -> np.ndarray:
+    """``t`` as a float array, refused unless every time is positive and finite."""
+    t = np.asarray(t, dtype=float)
+    if not ((t > 0.0) & (t < math.inf)).all():
+        raise ValueError("mission time t must be positive and finite")
+    return t
+
+
 def component_reliability(model, t) -> "float | np.ndarray":
     """P(T > t) for the component: ``family.reliability`` of its scale value at ``t``.
 
@@ -311,9 +320,7 @@ def component_reliability(model, t) -> "float | np.ndarray":
     ``family`` and ``params``, such as a moment estimate.  Parameters that are
     arrays broadcast against ``t``.
     """
-    t = np.asarray(t, dtype=float)
-    if not (t > 0.0).all():
-        raise ValueError("mission time t must be > 0")
+    t = mission_times(t)
     family = model.family
     out = family.reliability(family.scale(t, **model.params))
     return float(out) if np.ndim(out) == 0 else out

@@ -27,9 +27,10 @@ from .distributions import (
     LogNormal,
     Weibull,
     component_reliability,
+    mission_times,
 )
 from .errors import DegenerateSampleError, EstimationError
-from .results import LclResult, make_result
+from .results import LclResult
 from .structures import StructureNode, eval_reliability, num_components, structure_partials
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "mle_fit",
     "fisher_information",
     "observed_information",
+    "check_delta_settings",
     "delta_lcl",
     "delta_curve",
 ]
@@ -445,17 +447,23 @@ def _delta_raw(structure, fitted, t, alpha, form) -> tuple:
     return raw, r_system
 
 
-def _delta_at(structure, families, datasets, times, alpha, form, censored_masks):
-    """One MLE fit, then ``(raw, r_hat)`` at each time; the checks of ``delta_lcl``."""
+def check_delta_settings(alpha) -> None:
+    """Refuse the settings every delta-method LCL would refuse."""
     if not 0.0 < alpha <= 0.5:
         raise ValueError("alpha must lie in (0, 0.5]")
+
+
+def _delta_at(structure, families, datasets, times, alpha, form, censored_masks):
+    """One MLE fit, then ``(raw, r_hat)`` at each time; the checks of ``delta_lcl``."""
+    check_delta_settings(alpha)
+    times = mission_times(times)
     if form not in ("paper", "standard"):
         raise ValueError("form must be 'paper' or 'standard'")
     s = num_components(structure)
     if len(families) != s or len(datasets) != s:
         raise ValueError(f"structure has {s} components; families/datasets must match")
     fitted = _delta_fit(families, datasets, censored_masks)
-    return fitted, [_delta_raw(structure, fitted, t, alpha, form) for t in times]
+    return fitted, [_delta_raw(structure, fitted, t, alpha, form) for t in times.tolist()]
 
 
 def delta_lcl(structure: StructureNode, families: Sequence[LifetimeFamily],
@@ -474,11 +482,9 @@ def delta_lcl(structure: StructureNode, families: Sequence[LifetimeFamily],
     """
     fitted, [(raw, r_hat)] = _delta_at(structure, families, datasets, [t], alpha, form,
                                        censored_masks)
-    method = "delta" if form == "paper" else "delta-standard"
-    return make_result(
-        method, raw, r_hat, t, alpha, percentile=False,
-        component_estimates=[est.summary() for est, _ in fitted],
-    )
+    return LclResult(method="delta" if form == "paper" else "delta-standard", raw_value=raw,
+                     r_hat=r_hat, component_estimates=[est.summary() for est, _ in fitted],
+                     t=t, alpha=alpha, percentile=False)
 
 
 def delta_curve(structure: StructureNode, families: Sequence[LifetimeFamily],
@@ -489,6 +495,5 @@ def delta_curve(structure: StructureNode, families: Sequence[LifetimeFamily],
     Entry g equals ``delta_lcl(..., t_grid[g], ...).raw_value``; inputs are
     checked as ``delta_lcl`` checks them.
     """
-    _, rows = _delta_at(structure, families, datasets, np.asarray(t_grid, dtype=float),
-                        alpha, form, censored_masks)
+    _, rows = _delta_at(structure, families, datasets, t_grid, alpha, form, censored_masks)
     return np.array([raw for raw, _ in rows])

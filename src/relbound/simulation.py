@@ -11,6 +11,9 @@ grid and dispatches to ``bootstrap.bootstrap_curve`` or
 ``estimators.delta_curve``, whose value at each grid time is the scalar LCL
 there, bit for bit.
 
+The input records ``StudyConfig`` and ``LclRequest`` are dataclasses whose
+fields are their JSON keys; they refuse settings by ``check_lcl_settings``.
+
 Determinism contract: every replication derives its streams from
 (master seed, n index, replication index, method index) by explicit keys, so
 a study is bit-identical for a fixed seed regardless of the worker count.
@@ -27,28 +30,33 @@ import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import partial
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .bootstrap import bb_lcl, bootstrap_curve, bp_lcl, dbp_lcl_oracle, dbpt_lcl
+from .bootstrap import (bb_lcl, bootstrap_curve, bp_lcl, check_bootstrap_settings,
+                        dbp_lcl_oracle, dbpt_lcl)
 from .censoring import IMPUTE_MODES, censoring_count, impute, type2_censor
 from .distributions import (
     ComponentModel,
     Exponential,
     component_reliability,
     family_from_name,
+    mission_times,
     sample_lifetimes,
 )
 from .errors import ConfigError, RelboundError
-from .estimators import delta_curve, delta_lcl
+from .estimators import check_delta_settings, delta_curve, delta_lcl
 from .rng import as_seedseq, child_seedseq, generator
-from .selection import ceil_index, empirical_quantile
+from .selection import empirical_quantile
 from .structures import StructureNode, eval_reliability, num_components, parse_structure
 
 __all__ = [
     "StudyConfig",
+    "LclRequest",
+    "check_lcl_settings",
     "MethodCell",
     "CoverageReport",
     "compute_lcl",
@@ -64,16 +72,22 @@ __all__ = [
 ]
 
 METHODS = ("bp", "bb", "dbpt", "dbp", "delta", "delta-standard")
-DELTA_METHODS = ("delta", "delta-standard")
+_DELTA_FORM = {"delta": "paper", "delta-standard": "standard"}  # the delta_lcl form of each
+DELTA_METHODS = tuple(_DELTA_FORM)
 
 
 # --- configuration ----------------------------------------------------------
 
 
-# Field name -> JSON key where they differ: ``n_values`` is ``n``, and the
-# three bend-back fields form the ``bend_back`` {enabled, points, decades} group.
-_RENAMED = {"n_values": "n"}
-_BEND_BACK = {"bend_back": "enabled", "bend_back_points": "points", "bend_back_decades": "decades"}
+def check_lcl_settings(method: str, t, alpha, B, C) -> None:
+    """Refuse, by the checks the LCL call itself runs, the settings ``compute_lcl`` refuses."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {list(METHODS)}")
+    mission_times(t)
+    if method in DELTA_METHODS:
+        check_delta_settings(alpha)
+    else:
+        check_bootstrap_settings(method, alpha, B, C)
 
 
 def _as_int(name, value) -> int:
@@ -97,19 +111,50 @@ _CASTS = {"str": lambda name, value: str(value), "int": _as_int,
           "float": lambda name, value: float(value), "bool": _as_bool}
 
 
+def _cast_fields(record) -> None:
+    """Normalise each str, int, float and bool field of a frozen ``record`` to its type."""
+    for f in fields(record):
+        if f.type in _CASTS:
+            object.__setattr__(record, f.name, _CASTS[f.type](f.name, getattr(record, f.name)))
+
+
+def _from_json(cls, raw, what: str, renamed: dict, **given):
+    """A ``cls`` record from the JSON object ``raw``; an unknown or missing key is a ConfigError.
+
+    ``renamed`` maps a field to its key where they differ, or to None for a
+    field with no key of its own, which the caller passes in ``given``.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    keys = {renamed.get(f.name, f.name): f for f in fields(cls) if renamed.get(f.name, f.name)}
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, f in keys.items():
+        if f.default is MISSING and key not in raw:
+            raise ConfigError(f"{what} is missing required key {key!r}")
+    try:
+        return cls(**{keys[key].name: value for key, value in raw.items()}, **given)
+    except (TypeError, KeyError) as exc:
+        raise ConfigError(f"malformed {what} value: {exc}") from exc
+
+
+# Field name -> JSON key where they differ: ``n_values`` is ``n``, and the bend-back
+# fields form the ``bend_back`` group, whose ``enabled`` may stand alone as ``bend_back``.
+_RENAMED = {"n_values": "n", "bend_back_points": None, "bend_back_decades": None}
+_BEND_BACK = {"bend_back": "enabled", "bend_back_points": "points", "bend_back_decades": "decades"}
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Settings of one coverage study.
 
-    The fields, in order, are the JSON schema of a study config (see README)
-    and of its ``config_echo.json``.  Two keys are renamed: ``n_values`` is
-    ``n``, and ``bend_back``, ``bend_back_points`` and ``bend_back_decades``
-    are the ``enabled``, ``points`` and ``decades`` keys of the ``bend_back``
-    group.  A key the JSON omits takes the field's default.  Building a
-    config, directly or through :meth:`from_dict`, normalises the values to
-    the field types and refuses the settings every replication would reject,
-    including a structure that does not parse, an unknown target-mode
-    ``family`` and a ``components`` list of the wrong length.
+    The fields, in order, are the JSON schema of a study config and of its
+    ``config_echo.json`` (see README), with ``n_values`` as ``n`` and the
+    bend-back fields as the ``bend_back`` group.  Building a config, directly
+    or through :meth:`from_dict`, normalises the values to the field types
+    and refuses the settings every replication would reject (see README),
+    among them those ``check_lcl_settings`` refuses for any of its methods.
     """
 
     structure: str
@@ -135,38 +180,23 @@ class StudyConfig:
     threads: int = 1
 
     def __post_init__(self):
-        def put(name, value):
-            object.__setattr__(self, name, value)
-
-        for f in fields(self):
-            if f.type in _CASTS:
-                put(f.name, _CASTS[f.type](f.name, getattr(self, f.name)))
+        put = partial(object.__setattr__, self)
+        _cast_fields(self)
         put("n_values", tuple(_as_int("n", n) for n in self.n_values))
         put("methods", tuple(str(m) for m in self.methods))
         put("components", tuple(dict(c) for c in self.components) if self.components else None)
 
-        if not 0.0 < self.t < math.inf:
-            raise ValueError("t must be positive and finite")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly inside (0, 1)")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ValueError("n must be a non-empty list of positive sizes")
-        unknown = [m for m in self.methods if m not in METHODS]
-        if unknown:
-            raise ValueError(f"unknown methods {unknown}; choose from {list(METHODS)}")
         if not self.methods:
             raise ValueError("methods list is empty")
         if len(set(self.methods)) < len(self.methods):
             raise ValueError(f"methods {list(self.methods)} list a method twice")
-        # the per-LCL checks, made here so that a study cannot die in replication 1
-        if set(self.methods) - set(DELTA_METHODS) and self.B < ceil_index(1.0 / self.alpha):
-            raise ValueError(f"B must be at least ceil(1/alpha) = {ceil_index(1.0 / self.alpha)}")
-        if {"dbpt", "dbp"} & set(self.methods) and self.C < 1:
-            raise ValueError("C must be >= 1")
-        if set(self.methods) & set(DELTA_METHODS) and self.alpha > 0.5:
-            raise ValueError("the delta methods need alpha in (0, 0.5]")
+        # made here so that a study cannot die in replication 1
+        for method in self.methods:
+            check_lcl_settings(method, self.t, self.alpha, self.B, self.C)
         if (self.components is None) == (self.target_reliability is None):
             raise ValueError(
                 "give either explicit 'components' or 'family' + 'target_reliability'"
@@ -196,30 +226,16 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StudyConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("study config must be a JSON object")
-        names = {_RENAMED.get(f.name, f.name): f for f in fields(cls) if f.name not in _BEND_BACK}
-        unknown = set(raw) - set(names) - {"bend_back"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, f in names.items():
-            if f.default is MISSING and key not in raw:
-                raise ConfigError(f"config is missing required key {key!r}")
-        kwargs = {names[key].name: value for key, value in raw.items() if key in names}
-        bend = raw.get("bend_back")
-        if isinstance(bend, dict):
-            bad = set(bend) - set(_BEND_BACK.values())
-            if bad:
-                raise ConfigError(f"unknown bend_back keys: {sorted(bad)}")
-            # a bend_back group switches the scan on unless it says otherwise
-            kwargs["bend_back"] = True
-            kwargs.update({name: bend[key] for name, key in _BEND_BACK.items() if key in bend})
-        elif "bend_back" in raw:
-            kwargs["bend_back"] = bend
-        try:
-            return cls(**kwargs)
-        except (TypeError, KeyError) as exc:
-            raise ConfigError(f"malformed config value: {exc}") from exc
+        bend = raw.get("bend_back") if isinstance(raw, dict) else None
+        if not isinstance(bend, dict):
+            return _from_json(cls, raw, "config", _RENAMED)
+        bad = set(bend) - set(_BEND_BACK.values())
+        if bad:
+            raise ConfigError(f"unknown bend_back keys: {sorted(bad)}")
+        group = {name: bend[key] for name, key in _BEND_BACK.items() if key in bend}
+        # a bend_back group switches the scan on unless it says otherwise
+        enabled = group.pop("bend_back", True)
+        return _from_json(cls, {**raw, "bend_back": enabled}, "config", _RENAMED, **group)
 
     def to_dict(self) -> dict:
         out = {}
@@ -232,12 +248,61 @@ class StudyConfig:
         return out
 
 
-def _component_model(spec: dict) -> ComponentModel:
-    """The model of one ``components`` entry: a family and each of its ``params``."""
+@dataclass(frozen=True)
+class LclRequest:
+    """Settings and component entries of one LCL.
+
+    The fields, in order, are the JSON schema of an LCL request (see README).
+    Building a request normalises it like a :class:`StudyConfig`, puts the
+    components in id order, and refuses the settings ``check_lcl_settings``
+    refuses, a structure that does not parse and a malformed ``components``.
+    """
+
+    structure: str
+    components: tuple
+    t: float
+    alpha: float = 0.1
+    method: str = "dbpt"
+    B: int = 1000
+    C: int = 500
+    seed: int = 0
+
+    def __post_init__(self):
+        _cast_fields(self)
+        s = num_components(parse_structure(self.structure))
+        n = len(self.components) if isinstance(self.components, (list, tuple)) else None
+        if n != s:
+            raise ConfigError(f"structure references {s} components, request lists {n or 'no'}")
+        # s entries with distinct ids among c1..cs name every component once
+        ids, by_id = [f"c{i + 1}" for i in range(s)], {}
+        for spec in self.components:
+            if not (isinstance(spec, dict) and {"id", "family"} <= set(spec)
+                    and {"times", "data_file"} & set(spec)):
+                raise ConfigError(f"component {spec!r}: each component is an object with "
+                                  "'id', 'family', and inline 'times' or a 'data_file'")
+            if spec["id"] not in ids or spec["id"] in by_id:
+                raise ConfigError(f"component id {spec['id']!r}: ids are {ids}, each used once")
+            _entry_family(spec)
+            by_id[spec["id"]] = dict(spec)
+        object.__setattr__(self, "components", tuple(by_id[i] for i in ids))
+        check_lcl_settings(self.method, self.t, self.alpha, self.B, self.C)
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "LclRequest":
+        return _from_json(cls, raw, "request", {})
+
+
+def _entry_family(spec: dict):
+    """The family a ``components`` entry names; an unknown family is a ConfigError."""
     try:
-        family = family_from_name(str(spec.get("family")))
+        return family_from_name(str(spec.get("family")))
     except ValueError as exc:
         raise ConfigError(f"component {spec}: {exc}") from None
+
+
+def _component_model(spec: dict) -> ComponentModel:
+    """The model of one ``components`` entry: a family and each of its ``params``."""
+    family = _entry_family(spec)
     needed = set(family.params)
     given = set(spec) - {"family"}
     if given != needed:
@@ -297,11 +362,8 @@ def compute_lcl(method: str, node: StructureNode, families, datasets, t, alpha,
     if method == "dbp":
         return dbp_lcl_oracle(node, families, datasets, t, alpha, B, C, seed,
                               recensor_n_tilde=recensor_n_tilde)
-    if method == "delta":
-        return delta_lcl(node, families, datasets, t, alpha, form="paper",
-                         censored_masks=censored_masks)
-    if method == "delta-standard":
-        return delta_lcl(node, families, datasets, t, alpha, form="standard",
+    if method in DELTA_METHODS:
+        return delta_lcl(node, families, datasets, t, alpha, form=_DELTA_FORM[method],
                          censored_masks=censored_masks)
     raise ValueError(f"unknown method {method!r}; choose from {list(METHODS)}")
 
@@ -324,14 +386,13 @@ def lcl_curve(method: str, node: StructureNode, families, datasets, t_grid,
     with the same seed, and the inputs ``compute_lcl`` rejects are rejected
     here with the same error.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = mission_times(t_grid)
     if t_grid.ndim != 1 or t_grid.size < 2:
         raise ValueError("t_grid needs at least 2 points")
-    if np.any(np.diff(t_grid) <= 0.0) or np.any(t_grid <= 0.0):
-        raise ValueError("t_grid must be positive and strictly increasing")
+    if np.any(np.diff(t_grid) <= 0.0):
+        raise ValueError("t_grid must be strictly increasing")
     if method in DELTA_METHODS:
-        form = "paper" if method == "delta" else "standard"
-        return delta_curve(node, families, datasets, t_grid, alpha, form=form,
+        return delta_curve(node, families, datasets, t_grid, alpha, form=_DELTA_FORM[method],
                            censored_masks=censored_masks)
     return bootstrap_curve(method, node, families, datasets, t_grid, alpha, B, C, seed,
                            paper_literal_aux=paper_literal_aux)
@@ -488,7 +549,6 @@ def _one_replication(node, families, models, config: StudyConfig, master, ni, n,
                 "error": None,
                 "lcl": res.lcl,
                 "raw": res.raw_value,
-                "fell_outside": res.fell_outside,
                 "boundary_hits": res.boundary_hits,
                 "ms": elapsed_ms,
             }

@@ -42,10 +42,15 @@ def make_data(models, n, seed):
     return [sample_lifetimes(m, n, generator(seed, 0, i)) for i, m in enumerate(models)]
 
 
+def scales_at(comps, t):
+    """Each fitted component's scale value at the times ``t``, as ``_first_layer`` takes them."""
+    return [c.family.scale(np.asarray(t, dtype=float), **c.params) for c in comps]
+
+
 def first_layer_at(structure, families, data, t, B, seed):
     """The fitted components and the one-point first layer at time ``t``."""
     comps = [moment_estimate(f, d) for f, d in zip(families, data)]
-    vals, r_star, _ = _first_layer(structure, comps, np.array([t]),
+    vals, r_star, _ = _first_layer(structure, comps, scales_at(comps, [t]),
                                    _draw_aux(comps, B, seed, 1, False))
     return comps, [v[:, 0] for v in vals], r_star[:, 0]
 
@@ -350,7 +355,8 @@ def _layers(structure, family, B, C, seed, G=1):
         models = [ComponentModel(family, mu=0.3, sigma=0.8)] * s
     comps = [moment_estimate(family, d) for d in make_data(models, 5, seed)]
     t = np.array(KERNEL_TIMES[:G])
-    vals1, _, _ = _first_layer(structure, comps, t, _draw_aux(comps, B, seed, 1, False))
+    vals1, _, _ = _first_layer(structure, comps, scales_at(comps, t),
+                               _draw_aux(comps, B, seed, 1, False))
     return comps, vals1, _draw_aux(comps, C, seed, 2, False), _r_hat(structure, comps, t)
 
 

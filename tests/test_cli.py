@@ -139,6 +139,29 @@ class TestLclCommand:
         assert main([command, str(bad), "--B", "20"]) == 2
         assert "component" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, code", [
+        (lambda raw: raw.update(B=20.7), 4),
+        (lambda raw: raw.update(seed="7"), 4),
+        (lambda raw: raw.update(B=True), 4),
+        (lambda raw: raw["components"][0].update(family="gamma"), 2),
+        (lambda raw: raw.update(reps=3), 2),
+        (lambda raw: raw.pop("t"), 2),
+    ], ids=["B-fraction", "seed-string", "B-flag", "unknown-family", "unknown-key", "missing-t"])
+    def test_request_refused_alike_by_both_commands(self, request_file, tmp_path, capsys,
+                                                    edit, code):
+        raw = json.loads(request_file.read_text())
+        edit(raw)
+        bad = tmp_path / "refused.json"
+        bad.write_text(json.dumps(raw))
+        errors = []
+        for command in ("lcl", "bendback-scan"):
+            assert main([command, str(bad)]) == code, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("invalid parameters: " if code == 4 else "error: ")
+
     def test_censored_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
         times = np.sort(rng.exponential(1.0, 10))

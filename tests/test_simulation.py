@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,9 @@ from relbound.distributions import (
 )
 from relbound.errors import ConfigError, StructureParseError
 from relbound.simulation import (
+    LclRequest,
     StudyConfig,
+    check_lcl_settings,
     compute_lcl,
     default_t_grid,
     detect_bend_back,
@@ -178,6 +180,73 @@ def test_component_entry_takes_the_family_params(monkeypatch, family):
 
 STUDY_CONFIGS = sorted(p for p in (Path(__file__).parent.parent / "configs").glob("*.json")
                        if "methods" in json.loads(p.read_text()))
+
+
+def request_dict(**overrides):
+    return {"structure": "parallel(c1,c2)",
+            "components": [{"id": "c2", "family": "exponential", "data_file": "c2.csv"},
+                           {"id": "c1", "family": "weibull", "times": [1.0, 2.0, 3.0]}],
+            "t": 1.0, **overrides}
+
+
+class TestLclRequest:
+    def test_keys_are_the_fields_with_their_defaults(self):
+        request = LclRequest.from_dict(request_dict())
+        assert [f.name for f in fields(LclRequest)] == [
+            "structure", "components", "t", "alpha", "method", "B", "C", "seed"]
+        assert (request.alpha, request.method, request.B, request.C, request.seed) == (
+            0.1, "dbpt", 1000, 500, 0)
+        assert [spec["id"] for spec in request.components] == ["c1", "c2"]
+        assert [spec["family"] for spec in request.components] == ["weibull", "exponential"]
+        assert LclRequest(**request_dict()) == request
+
+    @pytest.mark.parametrize("raw, error", [
+        ([], ConfigError), (request_dict(reps=3), ConfigError),
+        ({"structure": "series(c1)", "components": []}, ConfigError),
+        (request_dict(structure="series(c1,"), StructureParseError),
+        (request_dict(structure="series(c1)"), ConfigError),
+        (request_dict(components=[{"id": "c1", "family": "gamma", "times": [1.0]},
+                                  {"id": "c2", "family": "weibull", "times": [1.0]}]),
+         ConfigError),
+        (request_dict(components=[{"id": "c1", "family": "weibull"},
+                                  {"id": "c2", "family": "weibull", "times": [1.0]}]),
+         ConfigError),
+        (request_dict(components=[{"id": "c1", "family": "weibull", "times": [1.0]}] * 2),
+         ConfigError),
+        (request_dict(B=20.7), ValueError), (request_dict(seed="7"), ValueError),
+        (request_dict(B=True), ValueError), (request_dict(method="wcf"), ValueError),
+    ], ids=["not-an-object", "unknown-key", "missing-t", "bad-structure", "count",
+            "unknown-family", "no-data", "repeated-id", "B-fraction", "seed-string",
+            "B-flag", "unknown-method"])
+    def test_refused_when_built(self, raw, error):
+        with pytest.raises(error):
+            LclRequest.from_dict(raw)
+
+    def test_replace_passes_the_same_checks(self):
+        request = LclRequest.from_dict(request_dict(method="bp", B=50))
+        assert replace(request, B=40.0).B == 40
+        for bad in ({"B": 20.7}, {"B": 5}, {"alpha": 0.6, "method": "delta"}, {"t": math.inf}):
+            with pytest.raises(ValueError):
+                replace(request, **bad)
+
+    @pytest.mark.parametrize("method, bad", [
+        ("bp", {"alpha": 0.0}), ("bb", {"B": 5}), ("dbpt", {"C": 0}), ("dbp", {"alpha": 1.5}),
+        ("delta", {"alpha": 0.6}), ("delta-standard", {"t": math.nan}), ("bp", {"t": -1.0}),
+    ])
+    def test_records_refuse_with_the_error_of_the_lcl_call(self, method, bad):
+        settings = {"t": 1.0, "alpha": 0.1, "B": 50, "C": 10, **bad}
+        node = parse_structure("series(c1,c2)")
+        data = [sample_lifetimes(ComponentModel(WEIBULL, mu=0.0, sigma=1.0), 6, i) for i in (1, 2)]
+        errors = []
+        for build in (
+                lambda: compute_lcl(method, node, [WEIBULL] * 2, data, settings["t"],
+                                    settings["alpha"], settings["B"], settings["C"], 1),
+                lambda: small_config(methods=(method,), **settings),
+                lambda: LclRequest.from_dict(request_dict(method=method, **settings))):
+            with pytest.raises(ValueError) as info:
+                build()
+            errors.append(str(info.value))
+        assert len(set(errors)) == 1, errors
 
 
 class TestDerivedSchema:
@@ -345,7 +414,7 @@ class TestCurvesAndBendBack:
         violations = detect_bend_back("delta", node, [WEIBULL] * 2, data, grid, seed=0)
         assert violations == 0
 
-    @pytest.mark.parametrize("method", ["bp", "bb", "dbpt", "dbp", "delta"])
+    @pytest.mark.parametrize("method", simulation.METHODS)
     def test_curve_raises_what_the_scalar_raises(self, method):
         node = parse_structure("series(c1,c2)")
         data = self._dataset(4)
@@ -362,7 +431,7 @@ class TestCurvesAndBendBack:
                       "alpha=0.6": {"alpha": 0.6}, "B=3": {"B": 3}, "C=0": {"C": 0},
                       "one family": {"families": [WEIBULL]}}
         rejected = {"alpha=0", "alpha=1.5", "one family"}
-        rejected |= {"alpha=0.6"} if method == "delta" else {"B=3"}
+        rejected |= {"alpha=0.6"} if method in simulation.DELTA_METHODS else {"B=3"}
         rejected |= {"C=0"} if method in ("dbpt", "dbp") else set()
         for name, bad in bad_inputs.items():
             a = {"families": [WEIBULL] * 2, "alpha": 0.1, "B": 50, "C": 10, **bad}
@@ -372,6 +441,20 @@ class TestCurvesAndBendBack:
                                               a["alpha"], a["B"], a["C"], 3))
             assert curve == scalar, name
             assert (scalar is not None) == (name in rejected), name
+            if name != "one family":
+                settings = outcome(lambda: check_lcl_settings(method, 1.0, a["alpha"], a["B"],
+                                                              a["C"]))
+                assert settings == scalar, name
+
+    @pytest.mark.parametrize("method", simulation.METHODS)
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_mission_time_refused(self, method, bad):
+        node = parse_structure("series(c1,c2)")
+        data = self._dataset(6)
+        with pytest.raises(ValueError, match="positive and finite"):
+            compute_lcl(method, node, [WEIBULL] * 2, data, bad, 0.1, 20, 5, 1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            lcl_curve(method, node, [WEIBULL] * 2, data, [1.0, bad], 0.1, 20, 5, 1)
 
     def test_bb_and_dbp_curves_run(self):
         node = parse_structure("series(c1,c2)")
