@@ -2,11 +2,14 @@
 
 Commands: ``lcl`` (one LCL from a request file), ``simulate`` (coverage study
 from a config file), ``bendback-scan`` (LCL-versus-time monotonicity scan),
-``perf-probe`` (dbpt versus nested-oracle runtime scaling).  Request and
-config files load as an ``LclRequest`` and a ``StudyConfig``, whose checks
-the command-line overrides pass too.  Results are printed / written as JSON
-with floats at 17 significant digits; study output files are written
-atomically (write-then-rename).
+``perf-probe`` (dbpt versus nested-oracle runtime scaling).  Each command
+loads its request or config file by one reader: ``LclRequest.from_dict`` or
+``StudyConfig.from_dict``, then ``dataclasses.replace`` with each flag that
+sets a field, so the flags pass the record's checks too.  ``simulate`` runs
+``--threads`` workers, else ``RELBOUND_THREADS``, else the config's
+``threads``.  Results are printed / written as JSON with floats at 17
+significant digits; study output files are written atomically
+(write-then-rename).
 """
 
 from __future__ import annotations
@@ -144,15 +147,26 @@ def _read_times_csv(path: Path):
     return np.asarray(times), np.asarray(flags, dtype=bool)
 
 
+def _load_record(cls, path: str, args, defaults=None, **given):
+    """``cls.from_dict`` of the JSON file at ``path``, then ``replace`` with each set flag.
+
+    The flags are the ``args`` named like a field of ``cls`` and ``given``,
+    which names the flags whose field has another name; None means unset.
+    ``defaults`` supplies keys the file leaves out.
+    """
+    raw = _load_json(path)
+    record = cls.from_dict({**defaults, **raw} if defaults and isinstance(raw, dict) else raw)
+    flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    return replace(record, **{k: v for k, v in {**flags, **given}.items() if v is not None})
+
+
 def _load_request(args):
-    """The request with its overrides, its families, and the datasets and masks its method uses.
+    """The request with its flags, its families, and the datasets and masks its method uses.
 
     Bootstrap methods consume imputed complete data; delta keeps the censored
     times and their masks.
     """
-    request = LclRequest.from_dict(_load_json(args.request))
-    request = replace(request, **{f.name: getattr(args, f.name) for f in fields(LclRequest)
-                                  if getattr(args, f.name, None) is not None})
+    request = _load_record(LclRequest, args.request, args)
     families = [family_from_name(spec["family"]) for spec in request.components]
     times, flags = [], []
     for spec in request.components:
@@ -171,6 +185,17 @@ def _load_request(args):
                                for family, x, mask in zip(families, times, flags)], None
 
 
+def _env_threads():
+    """``RELBOUND_THREADS`` as an int, or None when it is unset or empty."""
+    env = os.environ.get("RELBOUND_THREADS")
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"RELBOUND_THREADS must be an integer, got {env!r}") from None
+
+
 # --- commands ----------------------------------------------------------------
 
 
@@ -184,13 +209,9 @@ def cmd_lcl(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    raw = _load_json(args.config)
-    if args.replications is not None:
-        raw["replications"] = args.replications
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    raw["threads"] = _resolve_threads(args)
-    config = StudyConfig.from_dict(raw)
+    # --threads, else RELBOUND_THREADS, else the config's threads
+    config = _load_record(StudyConfig, args.config, args,
+                          threads=_env_threads() if args.threads is None else args.threads)
     report = run_coverage_study(config)
 
     out_dir = Path(args.out)
@@ -228,28 +249,11 @@ def cmd_bendback_scan(args) -> int:
 
 
 def cmd_perf_probe(args) -> int:
-    raw = _load_json(args.config)
-    if args.n:
-        raw["n"] = [int(x) for x in args.n.split(",")]
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    raw.setdefault("methods", ["dbpt", "dbp"])
-    config = StudyConfig.from_dict(raw)
+    config = _load_record(StudyConfig, args.config, args, defaults={"methods": ["dbpt", "dbp"]},
+                          n_values=[int(x) for x in args.n.split(",")] if args.n else None)
     probe = runtime_scaling_probe(config, repeats=args.repeats)
     sys.stdout.write(dumps(probe))
     return 0
-
-
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("RELBOUND_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"RELBOUND_THREADS must be an integer, got {env!r}") from None
-    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--replications", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: RELBOUND_THREADS or 1)")
+                       help="worker threads (default: RELBOUND_THREADS, else the "
+                            "config's threads)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_bend = sub.add_parser("bendback-scan",

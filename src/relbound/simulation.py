@@ -12,7 +12,10 @@ grid and dispatches to ``bootstrap.bootstrap_curve`` or
 there, bit for bit.
 
 The input records ``StudyConfig`` and ``LclRequest`` are dataclasses whose
-fields are their JSON keys; they refuse settings by ``check_lcl_settings``.
+fields are their JSON keys; they check the type of each value and refuse
+settings by ``check_lcl_settings``.  A study replication keeps each method's
+``LclResult``, or the error it raised; each report cell is built from one
+method's records, and the CSV and printed summary walk one column table.
 
 Determinism contract: every replication derives its streams from
 (master seed, n index, replication index, method index) by explicit keys, so
@@ -49,7 +52,7 @@ from .distributions import (
 )
 from .errors import ConfigError, RelboundError
 from .estimators import check_delta_settings, delta_curve, delta_lcl
-from .rng import as_seedseq, child_seedseq, generator
+from .rng import child_seedseq, generator
 from .selection import empirical_quantile
 from .structures import StructureNode, eval_reliability, num_components, parse_structure
 
@@ -99,16 +102,25 @@ def _as_int(name, value) -> int:
     return int(value)
 
 
+def _as_float(name, value) -> float:
+    """An int or a float; not a flag, a string or anything else."""
+    number = isinstance(value, (int, float, np.integer, np.floating))
+    if not number or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _as_bool(name, value) -> bool:
     if not isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be true or false, got {value!r}")
     return bool(value)
 
 
-# JSON values take the type their field is annotated with: strings and
-# floats are converted, ints and flags are checked
-_CASTS = {"str": lambda name, value: str(value), "int": _as_int,
-          "float": lambda name, value: float(value), "bool": _as_bool}
+# JSON values take the type their field is annotated with: strings are
+# converted; ints, floats and flags are checked, and an optional float may be None
+_CASTS = {"str": lambda name, value: str(value), "int": _as_int, "float": _as_float,
+          "Optional[float]": lambda name, value: None if value is None else _as_float(name, value),
+          "bool": _as_bool}
 
 
 def _cast_fields(record) -> None:
@@ -248,6 +260,11 @@ class StudyConfig:
         return out
 
 
+# The key sets a request's ``components`` entry may have
+_ENTRY_KEYS = ({"id", "family", "times"}, {"id", "family", "times", "censored"},
+               {"id", "family", "data_file"})
+
+
 @dataclass(frozen=True)
 class LclRequest:
     """Settings and component entries of one LCL.
@@ -276,10 +293,10 @@ class LclRequest:
         # s entries with distinct ids among c1..cs name every component once
         ids, by_id = [f"c{i + 1}" for i in range(s)], {}
         for spec in self.components:
-            if not (isinstance(spec, dict) and {"id", "family"} <= set(spec)
-                    and {"times", "data_file"} & set(spec)):
+            if not (isinstance(spec, dict) and set(spec) in _ENTRY_KEYS):
                 raise ConfigError(f"component {spec!r}: each component is an object with "
-                                  "'id', 'family', and inline 'times' or a 'data_file'")
+                                  "'id', 'family', and inline 'times' (with optional "
+                                  "'censored' flags) or a 'data_file', and no other key")
             if spec["id"] not in ids or spec["id"] in by_id:
                 raise ConfigError(f"component id {spec['id']!r}: ids are {ids}, each used once")
             _entry_family(spec)
@@ -458,6 +475,26 @@ class MethodCell:
         return {k: v for k, v in asdict(self).items() if k != "median_ms"}
 
 
+# The report's columns: field, CSV header and format, summary header, width and
+# format.  A None value is empty in the CSV and "-" in the summary.
+_COLUMNS = (
+    ("method", "method", "", "method", "<16", ""),
+    ("n", "n", "", "n", ">6", ""),
+    ("coverage", "coverage", ".6f", "coverage", ">10", ".4f"),
+    ("coverage_se", "coverage_se", ".6f", "se", ">8", ".4f"),
+    ("q_lcl", "q90_lcl", ".10g", "q_lcl", ">10", ".4f"),
+    ("fell_outside", "fell_outside", "", "outside", ">9", ""),
+    ("bend_back", "bend_back", "", "bend", ">6", ""),
+    ("failures", "failures", "", "fail", ">6", ""),
+    ("median_ms", "median_ms", ".3f", "med_ms", ">9", ".1f"),
+)
+
+
+def _text(cell: MethodCell, name: str, fmt: str, blank: str) -> str:
+    value = getattr(cell, name)
+    return blank if value is None else format(value, fmt)
+
+
 @dataclass(frozen=True)
 class CoverageReport:
     config: dict
@@ -479,88 +516,90 @@ class CoverageReport:
     def csv_text(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["method", "n", "coverage", "coverage_se", "q90_lcl",
-                         "fell_outside", "bend_back", "failures", "median_ms"])
+        writer.writerow([header for _, header, *_ in _COLUMNS])
         for cell in self.cells:
-            writer.writerow([
-                cell.method,
-                cell.n,
-                "" if cell.coverage is None else f"{cell.coverage:.6f}",
-                "" if cell.coverage_se is None else f"{cell.coverage_se:.6f}",
-                "" if cell.q_lcl is None else f"{cell.q_lcl:.10g}",
-                cell.fell_outside,
-                "" if cell.bend_back is None else cell.bend_back,
-                cell.failures,
-                "" if cell.median_ms is None else f"{cell.median_ms:.3f}",
-            ])
+            writer.writerow([_text(cell, name, fmt, "") for name, _, fmt, *_ in _COLUMNS])
         return buf.getvalue()
 
     def summary_lines(self) -> list:
-        lines = [
-            f"true reliability R = {self.true_reliability:.6f}",
-            f"{'method':<16}{'n':>6}{'coverage':>10}{'se':>8}{'q_lcl':>10}"
-            f"{'outside':>9}{'bend':>6}{'fail':>6}{'med_ms':>9}",
-        ]
-        for c in self.cells:
-            cov = "-" if c.coverage is None else f"{c.coverage:.4f}"
-            se = "-" if c.coverage_se is None else f"{c.coverage_se:.4f}"
-            q = "-" if c.q_lcl is None else f"{c.q_lcl:.4f}"
-            bend = "-" if c.bend_back is None else str(c.bend_back)
-            ms = "-" if c.median_ms is None else f"{c.median_ms:.1f}"
-            lines.append(f"{c.method:<16}{c.n:>6}{cov:>10}{se:>8}{q:>10}"
-                         f"{c.fell_outside:>9}{bend:>6}{c.failures:>6}{ms:>9}")
+        lines = [f"true reliability R = {self.true_reliability:.6f}",
+                 "".join(format(header, width) for *_, header, width, _ in _COLUMNS)]
+        for cell in self.cells:
+            lines.append("".join(format(_text(cell, name, fmt, "-"), width)
+                                 for name, *_, width, fmt in _COLUMNS))
         return lines
 
 
-def _one_replication(node, families, models, config: StudyConfig, master, ni, n, rep):
-    rep_seed = child_seedseq(master, ni, rep)
+def _one_replication(node, families, models, config: StudyConfig, ni, n, rep) -> dict:
+    """Each method's run on replication ``rep`` at size ``n``, by method.
+
+    A run is ``(LclResult, ms, bend-back count)``, the count None without the
+    scan, or the RelboundError it raised as ``"Type: message"``.
+    """
+    rep_seed = child_seedseq(config.seed, ni, rep)
     s = len(models)
     datasets = [sample_lifetimes(models[i], n, generator(rep_seed, 0, i)) for i in range(s)]
-    delta_masks = None
-    recensor = None
+    boot_data = delta_data = datasets
+    delta_masks = recensor = None
     if config.censoring_fraction:
         n_tilde = censoring_count(n, config.censoring_fraction)
         censored = [type2_censor(d, n_tilde) for d in datasets]
-        boot_data = [impute(families[i], censored[i], config.impute_mode) for i in range(s)]
         delta_data = [cd.times for cd in censored]
         delta_masks = [cd.censored for cd in censored]
-        if config.reimpute_in_resamples:
-            recensor = [n_tilde] * s
-    else:
-        boot_data = datasets
-        delta_data = datasets
+        recensor = [n_tilde] * s if config.reimpute_in_resamples else None
+        try:
+            boot_data = [impute(families[i], censored[i], config.impute_mode) for i in range(s)]
+        except RelboundError as exc:
+            boot_data = exc  # fails each bootstrap method below
 
-    grid = None
-    if config.bend_back:
-        grid = default_t_grid(config.t, config.bend_back_points, config.bend_back_decades)
+    grid = (default_t_grid(config.t, config.bend_back_points, config.bend_back_decades)
+            if config.bend_back else None)
 
-    out = {}
+    runs = {}
     for mi, method in enumerate(config.methods):
         data = delta_data if method in DELTA_METHODS else boot_data
-        seed_m = child_seedseq(rep_seed, 1 + mi)
         start = time.perf_counter()
         try:
+            if isinstance(data, RelboundError):
+                raise data
             res = compute_lcl(method, node, families, data, config.t, config.alpha,
-                              config.B, config.C, seed_m,
+                              config.B, config.C, child_seedseq(rep_seed, 1 + mi),
                               paper_literal_aux=config.paper_literal_aux,
                               censored_masks=delta_masks, recensor_n_tilde=recensor)
             elapsed_ms = (time.perf_counter() - start) * 1e3
-            rec = {
-                "error": None,
-                "lcl": res.lcl,
-                "raw": res.raw_value,
-                "boundary_hits": res.boundary_hits,
-                "ms": elapsed_ms,
-            }
-            if grid is not None:
-                rec["bend_violations"] = detect_bend_back(
-                    method, node, families, data, grid, config.alpha, config.B,
-                    config.C, child_seedseq(rep_seed, 100 + mi),
-                    paper_literal_aux=config.paper_literal_aux, censored_masks=delta_masks)
+            bend = None if grid is None else detect_bend_back(
+                method, node, families, data, grid, config.alpha, config.B, config.C,
+                child_seedseq(rep_seed, 100 + mi), paper_literal_aux=config.paper_literal_aux,
+                censored_masks=delta_masks)
+            runs[method] = (res, elapsed_ms, bend)
         except RelboundError as exc:
-            rec = {"error": f"{type(exc).__name__}: {exc}"}
-        out[method] = rec
-    return out
+            runs[method] = f"{type(exc).__name__}: {exc}"
+    return runs
+
+
+def _method_cell(config: StudyConfig, method: str, n: int, runs: list,
+                 r_true: float) -> MethodCell:
+    """The cell of ``method`` at size ``n`` from its runs, one per replication.
+
+    Its statistics are taken over the runs that did not fail.
+    """
+    ok = [run for run in runs if not isinstance(run, str)]
+    failures = len(runs) - len(ok)
+    if not ok:
+        return MethodCell(method=method, n=n, replications=len(runs), failures=failures,
+                          coverage=None, coverage_se=None, q_lcl=None, fell_outside=0,
+                          bend_back=None, boundary_hits=0, median_ms=None)
+    results, ms, bends = zip(*ok)
+    lcls = np.array([res.lcl for res in results])
+    coverage = float(np.mean(r_true >= lcls))
+    return MethodCell(
+        method=method, n=n, replications=len(runs), failures=failures, coverage=coverage,
+        coverage_se=math.sqrt(coverage * (1.0 - coverage) / len(ok)),
+        q_lcl=lcl_quantile(lcls, config.lcl_quantile),
+        fell_outside=falling_outside_count([res.raw_value for res in results]),
+        bend_back=sum(bend > 0 for bend in bends) if config.bend_back else None,
+        boundary_hits=sum(res.boundary_hits for res in results),
+        median_ms=float(statistics.median(ms)))
 
 
 def _map_replications(fn, replications: int, threads: int):
@@ -573,7 +612,8 @@ def _map_replications(fn, replications: int, threads: int):
 def run_coverage_study(config: StudyConfig) -> CoverageReport:
     """Run the full study described by ``config``.
 
-    Per-replication failures are recorded, not fatal; aggregate statistics are
+    A RelboundError in one method's LCL, bend-back scan or imputation fails
+    that method's replication, not the study; aggregate statistics are
     computed over the successful replications of each (method, n) cell.
     """
     node = parse_structure(config.structure)
@@ -583,34 +623,11 @@ def run_coverage_study(config: StudyConfig) -> CoverageReport:
 
     cells = []
     for ni, n in enumerate(config.n_values):
-        records = _map_replications(
-            lambda rep: _one_replication(node, families, models, config,
-                                         as_seedseq(config.seed), ni, n, rep),
+        runs = _map_replications(
+            lambda rep: _one_replication(node, families, models, config, ni, n, rep),
             config.replications, config.threads)
-        for method in config.methods:
-            recs = [r[method] for r in records]
-            ok = [r for r in recs if r["error"] is None]
-            failures = len(recs) - len(ok)
-            if ok:
-                lcls = np.array([r["lcl"] for r in ok])
-                raws = np.array([r["raw"] for r in ok])
-                coverage = float(np.mean(r_true >= lcls))
-                coverage_se = math.sqrt(coverage * (1.0 - coverage) / len(ok))
-                q_lcl = lcl_quantile(lcls, config.lcl_quantile)
-                fell = falling_outside_count(raws)
-                boundary = int(sum(r["boundary_hits"] for r in ok))
-                median_ms = float(statistics.median(r["ms"] for r in ok))
-                bend = (sum(1 for r in ok if r.get("bend_violations", 0) > 0)
-                        if config.bend_back else None)
-            else:
-                coverage = coverage_se = q_lcl = median_ms = None
-                fell = boundary = 0
-                bend = None
-            cells.append(MethodCell(
-                method=method, n=n, replications=config.replications,
-                failures=failures, coverage=coverage, coverage_se=coverage_se,
-                q_lcl=q_lcl, fell_outside=fell, bend_back=bend,
-                boundary_hits=boundary, median_ms=median_ms))
+        cells += [_method_cell(config, method, n, [r[method] for r in runs], r_true)
+                  for method in config.methods]
     return CoverageReport(
         config=config.to_dict(),
         solved_components=solved,
@@ -626,31 +643,28 @@ def runtime_scaling_probe(config: StudyConfig, repeats: int = 3) -> dict:
     """Median per-LCL wall time of dbpt versus the nested dbp oracle across n.
 
     Returns the medians, the fitted log-log slopes of time versus n, and the
-    oracle/dbpt speedup at the largest n.  Warm-up calls are discarded;
-    timings use the monotonic clock.
+    oracle/dbpt speedup at the largest n.  Each timing loop's first pass warms
+    up and is dropped; timings use the monotonic clock.
     """
     if len(config.n_values) < 2:
         raise ValueError("runtime probe needs at least two sample sizes")
     node = parse_structure(config.structure)
     families, models, _ = _resolve_models(config, node)
-    master = as_seedseq(config.seed)
     s = len(models)
 
     dbpt_ms, dbp_ms = [], []
     for ni, n in enumerate(config.n_values):
-        datasets = [sample_lifetimes(models[i], n, generator(master, 0, ni, i))
+        datasets = [sample_lifetimes(models[i], n, generator(config.seed, 0, ni, i))
                     for i in range(s)]
 
         def timed(method, key):
-            compute_lcl(method, node, families, datasets, config.t, config.alpha,
-                        config.B, config.C, child_seedseq(master, key, ni, 0))
             samples = []
-            for rep in range(repeats):
+            for rep in range(1 + repeats):  # pass 0 warms up and is dropped
                 start = time.perf_counter()
                 compute_lcl(method, node, families, datasets, config.t, config.alpha,
-                            config.B, config.C, child_seedseq(master, key, ni, 1 + rep))
+                            config.B, config.C, child_seedseq(config.seed, key, ni, rep))
                 samples.append((time.perf_counter() - start) * 1e3)
-            return float(statistics.median(samples))
+            return float(statistics.median(samples[1:]))
 
         dbpt_ms.append(timed("dbpt", 1))
         dbp_ms.append(timed("dbp", 2))

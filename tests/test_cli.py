@@ -128,8 +128,14 @@ class TestLclCommand:
         assert run_cli(["lcl", str(bad)], cwd=tmp_path).returncode == 2
 
     @pytest.mark.parametrize("command", ["lcl", "bendback-scan"])
-    @pytest.mark.parametrize("entry", [5, {"id": "cx", "family": "weibull", "times": [1.0, 2.0]}],
-                             ids=["not-an-object", "id-without-number"])
+    @pytest.mark.parametrize("entry", [
+        5,
+        {"id": "cx", "family": "weibull", "times": [1.0, 2.0]},
+        {"id": "c1", "family": "weibull", "times": [1.0, 2.0, 3.0, 4.0], "censord": [0, 0, 0, 1]},
+        {"id": "c1", "family": "weibull", "times": [1.0, 2.0], "data_file": "c2.csv"},
+        {"id": "c1", "family": "weibull", "data_file": "c2.csv", "censored": [0]},
+    ], ids=["not-an-object", "id-without-number", "unknown-key", "times-and-file",
+            "censored-beside-file"])
     def test_malformed_component_entry_exit_2(self, request_file, tmp_path, capsys,
                                               command, entry):
         raw = json.loads(request_file.read_text())
@@ -308,6 +314,24 @@ class TestOtherCommands:
             env={"RELBOUND_THREADS": "2", "PATH": "/usr/bin:/bin", "PYTHONPATH": SRC},
         )
         assert proc.returncode == 0, proc.stderr
+        echo = json.loads((tmp_path / "o" / "config_echo.json").read_text())
+        assert echo["threads"] == 2
+
+    @pytest.mark.parametrize("flag, env, threads", [(None, None, 3), ("4", "2", 4)],
+                             ids=["config", "flag-over-env"])
+    def test_threads_precedence(self, tmp_path, monkeypatch, flag, env, threads):
+        # --threads, else RELBOUND_THREADS (see above), else the config's threads
+        config = {"structure": "series(c1)", "t": 1.0, "n": [5], "methods": ["bp"],
+                  "family": "exponential", "target_reliability": 0.9, "B": 20,
+                  "replications": 2, "threads": 3}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.delenv("RELBOUND_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("RELBOUND_THREADS", env)
+        args = ["simulate", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(args + (["--threads", flag] if flag else [])) == 0
+        assert json.loads((tmp_path / "o" / "config_echo.json").read_text())["threads"] == threads
 
 
 def test_main_in_process(request_file, capsys):

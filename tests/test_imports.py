@@ -1,8 +1,8 @@
 """Import-level guards on the package source.
 
-No relbound module imports a private name from another relbound module, the
-bootstrap layers name no lifetime family, and the study harness looks up the
-callees the benchmark wraps as module globals.
+No relbound module imports a private name from another relbound module or a
+name it never uses, the bootstrap layers name no lifetime family, and the
+study harness looks up the callees the benchmark wraps as module globals.
 """
 
 import ast
@@ -39,6 +39,38 @@ def test_guard_sees_private_imports():
 def test_no_module_imports_another_modules_private_names():
     found = {path.name: private_imports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def unused_imports(source: str) -> list:
+    """``(line, name)`` of each imported name the module neither reads nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported = [(node.lineno, (a.asname or a.name).split(".")[0])
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_guard_sees_unused_imports():
+    source = ("from __future__ import annotations\n"
+              "import os, numpy.linalg\n"
+              "from .x import a, b as c, d\n"
+              "__all__ = ['d']\n"
+              "print(a, numpy.linalg.norm)\n")
+    assert unused_imports(source) == [(2, "os"), (3, "c")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package __init__ imports names to re-export them
+    found = {path.name: unused_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 

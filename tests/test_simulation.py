@@ -19,7 +19,9 @@ from relbound.distributions import (
 )
 from relbound.errors import ConfigError, StructureParseError
 from relbound.simulation import (
+    CoverageReport,
     LclRequest,
+    MethodCell,
     StudyConfig,
     check_lcl_settings,
     compute_lcl,
@@ -137,6 +139,7 @@ class TestConfig:
         ("paper_literal_aux", "false"), ("bend_back", "no"), ("reimpute_in_resamples", 1),
         ("B", 999.7), ("C", "500"), ("replications", True), ("seed", math.nan),
         ("threads", 2.5), ("n", [5.9]), ("n", ["5"]),
+        ("t", True), ("alpha", "0.2"), ("censoring_fraction", False),
     ])
     def test_flags_and_counts_are_checked_not_coerced(self, key, value):
         raw = {"structure": "series(c1)", "t": 1.0, "n": [5], "methods": ["bp", "dbpt"],
@@ -215,9 +218,14 @@ class TestLclRequest:
          ConfigError),
         (request_dict(B=20.7), ValueError), (request_dict(seed="7"), ValueError),
         (request_dict(B=True), ValueError), (request_dict(method="wcf"), ValueError),
+        (request_dict(t=True), ValueError), (request_dict(alpha="0.2"), ValueError),
+        (request_dict(components=[{"id": "c1", "family": "weibull", "times": [1.0, 2.0],
+                                   "censord": [0, 1]},
+                                  {"id": "c2", "family": "weibull", "times": [1.0]}]),
+         ConfigError),
     ], ids=["not-an-object", "unknown-key", "missing-t", "bad-structure", "count",
             "unknown-family", "no-data", "repeated-id", "B-fraction", "seed-string",
-            "B-flag", "unknown-method"])
+            "B-flag", "unknown-method", "t-flag", "alpha-string", "unknown-entry-key"])
     def test_refused_when_built(self, raw, error):
         with pytest.raises(error):
             LclRequest.from_dict(raw)
@@ -341,6 +349,34 @@ class TestCoverageStudy:
         assert header == ("method,n,coverage,coverage_se,q90_lcl,"
                           "fell_outside,bend_back,failures,median_ms")
 
+    def test_csv_and_summary_rows(self):
+        # a bend-back cell, a cell outside [0, 1] and a cell whose every replication failed
+        cells = (
+            MethodCell(method="dbpt", n=5, replications=4, failures=1, coverage=2 / 3,
+                       coverage_se=0.2721655269759087, q_lcl=0.91234567891234, fell_outside=0,
+                       bend_back=1, boundary_hits=2, median_ms=15.4567),
+            MethodCell(method="delta-standard", n=5, replications=4, failures=0, coverage=0.5,
+                       coverage_se=0.25, q_lcl=1.0123456789, fell_outside=2, bend_back=0,
+                       boundary_hits=0, median_ms=0.25),
+            MethodCell(method="bp", n=10, replications=4, failures=4, coverage=None,
+                       coverage_se=None, q_lcl=None, fell_outside=0, bend_back=None,
+                       boundary_hits=0, median_ms=None),
+        )
+        report = CoverageReport(config={}, solved_components=None, true_reliability=0.9548,
+                                cells=cells)
+        assert report.csv_text() == (
+            "method,n,coverage,coverage_se,q90_lcl,fell_outside,bend_back,failures,median_ms\n"
+            "dbpt,5,0.666667,0.272166,0.9123456789,0,1,1,15.457\n"
+            "delta-standard,5,0.500000,0.250000,1.012345679,2,0,0,0.250\n"
+            "bp,10,,,,0,,4,\n")
+        assert report.summary_lines() == [
+            "true reliability R = 0.954800",
+            "method               n  coverage      se     q_lcl  outside  bend  fail   med_ms",
+            "dbpt                 5    0.6667  0.2722    0.9123        0     1     1     15.5",
+            "delta-standard       5    0.5000  0.2500    1.0123        2     0     0      0.2",
+            "bp                  10         -       -         -        0     -     4        -",
+        ]
+
     def test_deterministic_across_thread_counts(self):
         config_serial = small_config(replications=16, threads=1)
         config_pool = small_config(replications=16, threads=8)
@@ -359,6 +395,15 @@ class TestCoverageStudy:
         for cell in report.cells:
             assert cell.failures == 4
             assert cell.coverage is None
+
+    def test_failed_imputation_fails_each_method_not_the_study(self):
+        # 90% censoring of n = 5 leaves one observed failure, too few to impute
+        # (bootstrap methods) or to fit the censored MLE (delta methods)
+        config = small_config(family="weibull", n_values=(5,), replications=3,
+                              censoring_fraction=0.9, methods=("bp", "dbpt", "delta"))
+        report = run_coverage_study(config)
+        assert [(c.method, c.failures, c.coverage) for c in report.cells] == [
+            ("bp", 3, None), ("dbpt", 3, None), ("delta", 3, None)]
 
     def test_censored_study_runs(self):
         config = small_config(
