@@ -8,7 +8,7 @@ baselines, with a Monte Carlo harness for coverage studies.
 """
 
 from .bootstrap import LclResult, bb_lcl, bootstrap_curve, bp_lcl, dbp_lcl_oracle, dbpt_lcl
-from .censoring import CensoredDataset, censored_loglik, censoring_count, impute, type2_censor
+from .censoring import CensoredDataset, censoring_count, impute, type2_censor
 from .distributions import (
     EXPONENTIAL,
     LOGNORMAL,
@@ -21,10 +21,7 @@ from .distributions import (
     Weibull,
     component_reliability,
     family_from_name,
-    population_moments,
     sample_lifetimes,
-    standardized_cdf,
-    standardized_quantile,
     time_at_reliability,
 )
 from .errors import (
@@ -44,7 +41,6 @@ from .estimators import (
     fisher_information,
     mle_fit,
     moment_estimate,
-    moment_reliability,
     observed_information,
 )
 from .resampling import AuxStat, gen_aux, gen_aux_batch, transform_reliability
@@ -57,9 +53,7 @@ from .simulation import (
     compute_lcl,
     default_t_grid,
     detect_bend_back,
-    falling_outside_count,
     lcl_curve,
-    lcl_quantile,
     run_coverage_study,
     runtime_scaling_probe,
     solve_identical_components,

@@ -173,9 +173,10 @@ def _second_layer(structure, comps, vals1, aux2, r_hat):
     return u_counts, hits, ties
 
 
-def _transformed(method, structure, comps, scales, r_hat, alpha, B, C, rng,
+def _transformed(method, structure, comps, t, r_hat, alpha, B, C, rng,
                  paper_literal) -> _Outcome:
-    """bp, bb or dbpt at every time, from auxiliary draws made once."""
+    """bp, bb or dbpt at every time in ``t``, from auxiliary draws made once."""
+    scales = [c.family.scale(t, **c.params) for c in comps]
     vals1, r_star, hits = _first_layer(structure, comps, scales,
                                        _draw_aux(comps, B, rng, _LAYER_ONE, paper_literal))
     if method in ("bp", "bb"):
@@ -200,14 +201,10 @@ def _run(method, structure, families, datasets, t, alpha, B, C, rng, paper_liter
     if t.ndim != 1 or t.size == 0:
         raise ValueError("t_grid must be a non-empty 1-D array")
     comps = [moment_estimate(family, data) for family, data in zip(families, datasets)]
+    r_hat = _r_hat(structure, comps, t)
     if method == "dbp":
-        return comps, _nested(structure, comps, t, _r_hat(structure, comps, t), alpha, B, C,
-                              rng, recensor_n_tilde)
-    scales = [c.family.scale(t, **c.params) for c in comps]
-    r_hat = np.asarray(eval_structure(structure, [c.family.reliability(v)
-                                                  for c, v in zip(comps, scales)]))
-    return comps, _transformed(method, structure, comps, scales, r_hat, alpha, B, C, rng,
-                               paper_literal)
+        return comps, _nested(structure, comps, t, r_hat, alpha, B, C, rng, recensor_n_tilde)
+    return comps, _transformed(method, structure, comps, t, r_hat, alpha, B, C, rng, paper_literal)
 
 
 def _lcl(method, structure, families, datasets, t, alpha, B, C, rng,

@@ -1,4 +1,4 @@
-"""Type-II right censoring: generation, imputation, censored likelihood.
+"""Type-II right censoring: generation and imputation.
 
 A Type-II experiment stops after a predefined number of failures; the
 remaining units are censored at the last observed failure time.  Censored
@@ -18,10 +18,10 @@ from scipy.integrate import quad
 
 from .distributions import Exponential, LifetimeFamily, LogNormal
 from .errors import EstimationError
-from .estimators import loglik, mle_fit
+from .estimators import mle_fit
 from .selection import ceil_index
 
-__all__ = ["CensoredDataset", "type2_censor", "impute", "censored_loglik", "IMPUTE_MODES"]
+__all__ = ["CensoredDataset", "type2_censor", "censoring_count", "impute", "IMPUTE_MODES"]
 
 IMPUTE_MODES = ("mean", "quantile")
 
@@ -144,12 +144,3 @@ def impute(family: LifetimeFamily, censored: CensoredDataset,
     out[mask] = np.exp(fit.mu_hat + fit.sigma_hat * np.asarray(z))
     return out
 
-
-def censored_loglik(family: LifetimeFamily, params, censored: CensoredDataset) -> float:
-    """Log likelihood of a censored dataset at the given parameters.
-
-    Observed rows contribute the log density, censored rows the log survival
-    probability; with no censored rows this equals the complete-data log
-    likelihood.
-    """
-    return loglik(family, params, censored.times, censored.censored)

@@ -12,7 +12,9 @@ component reliability at time t, and which the auxiliary transform maps
 affinely.  Two-parameter families use (mu, sigma) and the standardized
 quantile w = (log t - mu)/sigma with reliability sf(w).  The exponential is
 the one-parameter case: it uses the rate and the log reliability -rate*t.
-Beyond these attributes it differs in three places: its auxiliary law (a
+It is a Weibull subclass, whose standardized law (cdf, sf, pdf, quantiles,
+draws and moment constants) it inherits unchanged, with the scale pinned at
+one.  Beyond these attributes it differs in three places: its auxiliary law (a
 single gamma statistic, in ``resampling``), its likelihood, MLE and
 information (in ``estimators``), and its imputation by memorylessness (in
 ``censoring``).
@@ -27,6 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .errors import EstimationError
 from .rng import generator
 
 __all__ = [
@@ -44,13 +47,9 @@ __all__ = [
     "mission_times",
     "sample_lifetimes",
     "time_at_reliability",
-    "standardized_cdf",
-    "standardized_quantile",
-    "population_moments",
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
-SEV_KAPPA2 = math.pi / math.sqrt(6.0)
 
 
 class LifetimeFamily:
@@ -102,7 +101,7 @@ class Weibull(LifetimeFamily):
 
     name = "weibull"
     kappa1 = -EULER_GAMMA
-    kappa2 = SEV_KAPPA2
+    kappa2 = math.pi / math.sqrt(6.0)
 
     def cdf(self, x):
         with np.errstate(over="ignore"):  # exp overflow saturates the cdf at 1
@@ -156,18 +155,16 @@ class LogNormal(LifetimeFamily):
         return rng.standard_normal(shape)
 
 
-class Exponential(LifetimeFamily):
+class Exponential(Weibull):
     """Exponential lifetimes, parameterized by the rate lambda.
 
     On the log scale this is the unit smallest-extreme-value distribution with
-    the scale pinned at one, so the standardized curve coincides with the
-    Weibull family's.  Its one parameter is the rate, and its scale value is
-    the log reliability -rate*t.
+    the scale pinned at one, so it inherits the Weibull family's standardized
+    law.  Its one parameter is the rate, and its scale value is the log
+    reliability -rate*t.
     """
 
     name = "exponential"
-    kappa1 = -EULER_GAMMA
-    kappa2 = SEV_KAPPA2
     params = ("rate",)
 
     def scale(self, t, rate):
@@ -178,20 +175,15 @@ class Exponential(LifetimeFamily):
         """Reliability from log reliabilities: exp(v)."""
         return np.exp(v)
 
-    cdf = Weibull.cdf
-    sf = Weibull.sf
-    pdf = Weibull.pdf
-    quantile = Weibull.quantile
-    isf = Weibull.isf
-    sample_standardized = Weibull.sample_standardized
-
 
 class Generic(LifetimeFamily):
     """Caller-supplied log-location-scale family.
 
     The moment constants must be supplied rather than estimated: the transform
     law is exact only with the true population (kappa1, kappa2).  ``pdf`` is
-    optional; when absent it is obtained by central differences of the CDF.
+    optional: the bootstrap methods never read it, but the MLE, the
+    information matrix and imputation (so delta and censored data) do, and
+    without it they raise ``EstimationError``.
     Callables must accept numpy arrays.  Each call hands them a private float
     copy of its argument, so a callable may write into its input without
     touching the caller's array.
@@ -223,11 +215,10 @@ class Generic(LifetimeFamily):
         return 1.0 - self.cdf(x)
 
     def pdf(self, x):
-        if self._pdf is not None:
-            return self._pdf(np.array(x, dtype=float))
-        x = np.asarray(x, dtype=float)
-        h = 1e-6 * np.maximum(1.0, np.abs(x))
-        return (self.cdf(x + h) - self.cdf(x - h)) / (2.0 * h)
+        if self._pdf is None:
+            raise EstimationError(f"family {self.name!r} was built without a pdf, which the "
+                                  "MLE, the information matrix and imputation need")
+        return self._pdf(np.array(x, dtype=float))
 
     def quantile(self, p):
         return self._quantile(_check_prob(np.array(p, dtype=float)))
@@ -350,15 +341,3 @@ def time_at_reliability(model: ComponentModel, r: float) -> float:
         return -math.log(r) / model.rate
     return float(np.exp(model.mu + model.sigma * model.family.isf(r)))
 
-
-def standardized_cdf(family: LifetimeFamily, x):
-    return family.cdf(x)
-
-
-def standardized_quantile(family: LifetimeFamily, p):
-    return family.quantile(p)
-
-
-def population_moments(family: LifetimeFamily):
-    """(kappa1, kappa2): population mean and SD of the standardized distribution."""
-    return family.kappa1, family.kappa2

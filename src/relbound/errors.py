@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["RelboundError", "StructureParseError", "StructureError", "DegenerateSampleError",
+           "BoundaryError", "EstimationError", "ConfigError"]
+
 
 class RelboundError(Exception):
     """Base class for all relbound errors."""

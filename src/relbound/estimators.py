@@ -37,7 +37,6 @@ __all__ = [
     "MomentEstimate",
     "MleEstimate",
     "moment_estimate",
-    "moment_reliability",
     "mle_fit",
     "fisher_information",
     "observed_information",
@@ -68,9 +67,6 @@ class MomentEstimate:
 
     def model(self) -> ComponentModel:
         return ComponentModel(self.family, **self.params)
-
-    def r_hat_at(self, t) -> "float | np.ndarray":
-        return component_reliability(self, t)
 
     def summary(self, estimator: str = "moment") -> dict:
         return {"family": self.family.name, "estimator": estimator, "n": self.n,
@@ -124,16 +120,11 @@ def _unwrap(value):
     return float(value) if value.ndim == 0 else value
 
 
-def moment_reliability(family: LifetimeFamily, data, t) -> float:
-    """Plug the moment estimate into the component reliability at time ``t``."""
-    return moment_estimate(family, data).r_hat_at(t)
-
-
 # --- likelihood ------------------------------------------------------------
 
 
 def _log_pdf(family: LifetimeFamily, z: np.ndarray) -> np.ndarray:
-    if isinstance(family, (Weibull, Exponential)):
+    if isinstance(family, Weibull):
         return z - np.exp(z)
     if isinstance(family, LogNormal):
         return -0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
@@ -142,7 +133,7 @@ def _log_pdf(family: LifetimeFamily, z: np.ndarray) -> np.ndarray:
 
 
 def _log_sf(family: LifetimeFamily, z: np.ndarray) -> np.ndarray:
-    if isinstance(family, (Weibull, Exponential)):
+    if isinstance(family, Weibull):
         return -np.exp(z)
     if isinstance(family, LogNormal):
         return log_ndtr(-z)
@@ -428,7 +419,7 @@ def _delta_fit(families, datasets, censored_masks=None):
 
 
 def _delta_raw(structure, fitted, t, alpha, form) -> tuple:
-    r_hats = [est.r_hat_at(t) for est, _ in fitted]
+    r_hats = [component_reliability(est, t) for est, _ in fitted]
     r_system = eval_reliability(structure, r_hats)
     partials = structure_partials(structure, r_hats)
     var = 0.0
@@ -438,6 +429,8 @@ def _delta_raw(structure, fitted, t, alpha, form) -> tuple:
             var += float(grad @ np.linalg.solve(info, grad))
         except np.linalg.LinAlgError:
             raise EstimationError("singular information in delta variance") from None
+    if not math.isfinite(var):
+        raise EstimationError(f"delta standard error at t={t!r} is not finite")
     se = math.sqrt(max(var, 0.0))
     z = float(ndtri(1.0 - alpha))
     if form == "paper":

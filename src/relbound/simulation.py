@@ -67,8 +67,6 @@ __all__ = [
     "detect_bend_back",
     "bend_back_violations",
     "run_coverage_study",
-    "lcl_quantile",
-    "falling_outside_count",
     "runtime_scaling_probe",
     "solve_identical_components",
     "default_t_grid",
@@ -233,6 +231,13 @@ class StudyConfig:
             raise ValueError("lcl_quantile must lie inside (0, 1)")
         if self.bend_back_points < 2:
             raise ValueError("bend-back grid needs at least 2 points")
+        if self.bend_back:
+            try:
+                _check_t_grid(default_t_grid(self.t, self.bend_back_points,
+                                             self.bend_back_decades))
+            except ValueError as exc:
+                raise ValueError(f"bend-back grid of {self.bend_back_decades!r} decades: "
+                                 f"{exc}") from None
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -386,9 +391,24 @@ def compute_lcl(method: str, node: StructureNode, families, datasets, t, alpha,
 
 
 def default_t_grid(t: float, points: int = 50, decades: float = 1.0) -> np.ndarray:
-    """Log-spaced grid bracketing the mission time."""
+    """Log-spaced grid bracketing the mission time.
+
+    A span past the float range gives times of 0, inf or NaN, without a
+    warning; the grid check of ``lcl_curve`` refuses them.
+    """
     half = decades / 2.0
-    return np.logspace(math.log10(t) - half, math.log10(t) + half, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.logspace(math.log10(t) - half, math.log10(t) + half, points)
+
+
+def _check_t_grid(t_grid) -> np.ndarray:
+    """``t_grid`` as a float array, refused unless it holds 2 or more increasing mission times."""
+    t_grid = mission_times(t_grid)
+    if t_grid.ndim != 1 or t_grid.size < 2:
+        raise ValueError("t_grid needs at least 2 points")
+    if np.any(np.diff(t_grid) <= 0.0):
+        raise ValueError("t_grid must be strictly increasing")
+    return t_grid
 
 
 def lcl_curve(method: str, node: StructureNode, families, datasets, t_grid,
@@ -403,11 +423,7 @@ def lcl_curve(method: str, node: StructureNode, families, datasets, t_grid,
     with the same seed, and the inputs ``compute_lcl`` rejects are rejected
     here with the same error.
     """
-    t_grid = mission_times(t_grid)
-    if t_grid.ndim != 1 or t_grid.size < 2:
-        raise ValueError("t_grid needs at least 2 points")
-    if np.any(np.diff(t_grid) <= 0.0):
-        raise ValueError("t_grid must be strictly increasing")
+    t_grid = _check_t_grid(t_grid)
     if method in DELTA_METHODS:
         return delta_curve(node, families, datasets, t_grid, alpha, form=_DELTA_FORM[method],
                            censored_masks=censored_masks)
@@ -435,22 +451,6 @@ def detect_bend_back(method: str, node: StructureNode, families, datasets,
     return bend_back_violations(curve)
 
 
-# --- aggregation helpers ------------------------------------------------------
-
-
-def lcl_quantile(lcls, q: float) -> float:
-    """Empirical ceil(N*q) order statistic of a batch of LCLs."""
-    return empirical_quantile(lcls, q)
-
-
-def falling_outside_count(raw_values) -> int:
-    """How many raw LCL values left the unit interval."""
-    raw = np.asarray(raw_values, dtype=float)
-    if raw.size == 0:
-        raise ValueError("empty input")
-    return int(((raw < 0.0) | (raw > 1.0)).sum())
-
-
 # --- the coverage study -------------------------------------------------------
 
 
@@ -476,13 +476,14 @@ class MethodCell:
 
 
 # The report's columns: field, CSV header and format, summary header, width and
-# format.  A None value is empty in the CSV and "-" in the summary.
+# format.  A None value is empty in the CSV and "-" in the summary; the CSV
+# header of q_lcl names the study's lcl_quantile, in percent.
 _COLUMNS = (
     ("method", "method", "", "method", "<16", ""),
     ("n", "n", "", "n", ">6", ""),
     ("coverage", "coverage", ".6f", "coverage", ">10", ".4f"),
     ("coverage_se", "coverage_se", ".6f", "se", ">8", ".4f"),
-    ("q_lcl", "q90_lcl", ".10g", "q_lcl", ">10", ".4f"),
+    ("q_lcl", "q{q:g}_lcl", ".10g", "q_lcl", ">10", ".4f"),
     ("fell_outside", "fell_outside", "", "outside", ">9", ""),
     ("bend_back", "bend_back", "", "bend", ">6", ""),
     ("failures", "failures", "", "fail", ">6", ""),
@@ -516,7 +517,8 @@ class CoverageReport:
     def csv_text(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([header for _, header, *_ in _COLUMNS])
+        q = 100 * self.config["lcl_quantile"]
+        writer.writerow([header.format(q=q) for _, header, *_ in _COLUMNS])
         for cell in self.cells:
             writer.writerow([_text(cell, name, fmt, "") for name, _, fmt, *_ in _COLUMNS])
         return buf.getvalue()
@@ -595,8 +597,8 @@ def _method_cell(config: StudyConfig, method: str, n: int, runs: list,
     return MethodCell(
         method=method, n=n, replications=len(runs), failures=failures, coverage=coverage,
         coverage_se=math.sqrt(coverage * (1.0 - coverage) / len(ok)),
-        q_lcl=lcl_quantile(lcls, config.lcl_quantile),
-        fell_outside=falling_outside_count([res.raw_value for res in results]),
+        q_lcl=empirical_quantile(lcls, config.lcl_quantile),
+        fell_outside=sum(res.fell_outside for res in results),
         bend_back=sum(bend > 0 for bend in bends) if config.bend_back else None,
         boundary_hits=sum(res.boundary_hits for res in results),
         median_ms=float(statistics.median(ms)))

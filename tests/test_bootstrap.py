@@ -426,6 +426,44 @@ class TestSecondLayerKernel:
             assert peak < 32 * 2 ** 20
 
 
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryOfTheOtherMethods:
+    GRID = np.geomspace(1.5, 3.0, 5)
+
+    @pytest.mark.parametrize("method", ["bp", "bb"])
+    def test_first_layer_is_linear_in_b(self, method):
+        # per first-layer row: each component's (zbar, m), scale value and
+        # reliability at each time, plus the n draws one pair is reduced from;
+        # about 21 MB at one time and 35 MB at five here.  Drawing the s
+        # components' n draws at once would add 24 MB.
+        data = make_data([ComponentModel(WEIBULL, mu=1.0, sigma=0.7)] * 3, 10, 3)
+        scalar = {"bp": bp_lcl, "bb": bb_lcl}[method]
+        assert traced_peak(lambda: scalar(SERIES3, [WEIBULL] * 3, data, 2.0, 0.1,
+                                          B=100_000, rng=1)) < 32 * 2 ** 20
+        assert traced_peak(lambda: bootstrap_curve(method, SERIES3, [WEIBULL] * 3, data,
+                                                   self.GRID, 0.1, B=100_000,
+                                                   rng=1)) < 48 * 2 ** 20
+
+    def test_nested_oracle_holds_one_row_at_a_time(self):
+        # each first-layer row's C resamples are fitted and counted before the
+        # next row is drawn: about 5 MB here, where one B x C array of doubles
+        # alone takes 9.6 MB
+        data = make_data([ComponentModel(WEIBULL, mu=1.0, sigma=0.7)] * 3, 5, 3)
+        for run in (lambda: dbp_lcl_oracle(SERIES3, [WEIBULL] * 3, data, 2.0, 0.1, B=60,
+                                           C=20_000, rng=1),
+                    lambda: bootstrap_curve("dbp", SERIES3, [WEIBULL] * 3, data, self.GRID,
+                                            0.1, B=60, C=20_000, rng=1)):
+            assert traced_peak(run) < 8 * 2 ** 20
+
+
 CURVE_STRUCTURES = ["series(c1,c2,c3)", "parallel(c1,series(c2,c3))", "koutofn(2;c1,c2,c3)"]
 
 

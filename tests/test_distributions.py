@@ -9,13 +9,12 @@ from relbound.distributions import (
     LOGNORMAL,
     WEIBULL,
     ComponentModel,
+    Exponential,
     Generic,
+    Weibull,
     component_reliability,
     family_from_name,
-    population_moments,
     sample_lifetimes,
-    standardized_cdf,
-    standardized_quantile,
     time_at_reliability,
 )
 
@@ -25,6 +24,7 @@ def logistic_family():
         cdf=lambda x: 1.0 / (1.0 + np.exp(-x)),
         quantile=lambda p: np.log(p / (1.0 - p)),
         sample=lambda shape, rng: rng.logistic(size=shape),
+        pdf=lambda x: 0.25 / np.cosh(0.5 * x) ** 2,
         kappa1=0.0,
         kappa2=math.pi / math.sqrt(3.0),
         name="logistic",
@@ -154,11 +154,11 @@ class TestFamilyParams:
 
 class TestStandardized:
     def test_weibull_cdf_at_zero(self):
-        assert standardized_cdf(WEIBULL, 0.0) == pytest.approx(1 - math.exp(-1), rel=1e-12)
+        assert WEIBULL.cdf(0.0) == pytest.approx(1 - math.exp(-1), rel=1e-12)
 
     def test_weibull_quantile_closed_form(self):
         for p in (0.01, 0.3, 0.9, 0.999):
-            assert standardized_quantile(WEIBULL, p) == pytest.approx(
+            assert WEIBULL.quantile(p) == pytest.approx(
                 math.log(-math.log(1 - p)), rel=1e-12)
 
     @pytest.mark.parametrize("family,cdf_hi,sf_hi", [
@@ -203,9 +203,16 @@ class TestStandardized:
 
     def test_quantile_rejects_boundary(self):
         with pytest.raises(ValueError):
-            standardized_quantile(WEIBULL, 0.0)
+            WEIBULL.quantile(0.0)
         with pytest.raises(ValueError):
-            standardized_quantile(LOGNORMAL, 1.0)
+            LOGNORMAL.quantile(1.0)
+
+    def test_exponential_inherits_the_weibull_law(self):
+        assert isinstance(EXPONENTIAL, Weibull) and not isinstance(WEIBULL, Exponential)
+        for name in ("kappa1", "kappa2", "cdf", "sf", "pdf", "quantile", "isf",
+                     "sample_standardized"):
+            assert getattr(Exponential, name) is getattr(Weibull, name)
+        assert EXPONENTIAL.params == ("rate",) and EXPONENTIAL.scale(2.0, rate=0.5) == -1.0
 
     def test_generic_requires_positive_kappa2(self):
         with pytest.raises(ValueError):
@@ -219,7 +226,7 @@ class TestPopulationMoments:
         (LOGNORMAL, (0.0, 1.0)),
     ], ids=["weibull", "lognormal"])
     def test_constants(self, family, expected):
-        k1, k2 = population_moments(family)
+        k1, k2 = family.kappa1, family.kappa2
         assert k1 == pytest.approx(expected[0], abs=1e-12)
         assert k2 == pytest.approx(expected[1], abs=1e-12)
 
@@ -227,7 +234,7 @@ class TestPopulationMoments:
     def test_constants_match_simulation(self, family):
         rng = np.random.default_rng(2)
         draws = family.sample_standardized(1_000_000, rng)
-        k1, k2 = population_moments(family)
+        k1, k2 = family.kappa1, family.kappa2
         se_mean = k2 / math.sqrt(draws.size)
         assert abs(draws.mean() - k1) < 3 * se_mean
         # SE of the sample SD, normal-theory scale, generous factor

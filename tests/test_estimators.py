@@ -23,7 +23,6 @@ from relbound.estimators import (
     loglik,
     mle_fit,
     moment_estimate,
-    moment_reliability,
     observed_information,
 )
 from relbound.structures import parse_structure
@@ -103,7 +102,7 @@ class TestRowFits:
         assert list(est.summary()) == ["family", "estimator", "n",
                                        *(f"{name}_hat" for name in family.params)]
         assert est.model().params == est.params
-        assert est.r_hat_at(1.3) == component_reliability(est.model(), 1.3)
+        assert component_reliability(est, 1.3) == component_reliability(est.model(), 1.3)
 
 
 def test_a_degenerate_row_fails_the_row_fit():
@@ -115,20 +114,21 @@ def test_a_degenerate_row_fails_the_row_fit():
 
 
 class TestMomentReliability:
+    # the plug-in reliability: the moment estimate in component_reliability
     def test_exponential(self):
-        assert moment_reliability(EXPONENTIAL, [1.0] * 4, 1.0) == pytest.approx(
-            math.exp(-1), rel=1e-12)
+        est = moment_estimate(EXPONENTIAL, [1.0] * 4)
+        assert component_reliability(est, 1.0) == pytest.approx(math.exp(-1), rel=1e-12)
 
     def test_lognormal(self):
-        assert moment_reliability(LOGNORMAL, np.exp([-1.0, 0.0, 1.0]), 1.0) == pytest.approx(
-            0.5, abs=1e-12)
+        est = moment_estimate(LOGNORMAL, np.exp([-1.0, 0.0, 1.0]))
+        assert component_reliability(est, 1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             data = rng.lognormal(0, 2, size=5)
             t = float(rng.uniform(0.01, 100))
-            assert 0.0 <= moment_reliability(WEIBULL, data, t) <= 1.0
+            assert 0.0 <= component_reliability(moment_estimate(WEIBULL, data), t) <= 1.0
 
 
 class TestMle:
@@ -267,15 +267,38 @@ class TestFisherInformation:
         closed = fisher_information(WEIBULL, ComponentModel(WEIBULL, mu=0.1, sigma=0.8), 9)
         assert np.max(np.abs(info - closed)) < 1e-5
 
-    @pytest.mark.filterwarnings("ignore")  # quad reports the roundoff it gives up on
-    def test_non_finite_information_raises(self):
-        # without a pdf the quadrature differentiates the cdf and returns NaN
+    def test_a_family_without_pdf_is_refused(self):
         from scipy.special import ndtr, ndtri
 
-        from relbound.distributions import Generic
+        from relbound.censoring import impute, type2_censor
 
         normal = Generic(cdf=ndtr, quantile=ndtri, kappa1=0.0, kappa2=1.0,
                          sample=lambda shape, rng: rng.standard_normal(shape), name="normal")
+        model = ComponentModel(normal, mu=0.0, sigma=1.0)
+        data = [sample_lifetimes(model, 30, rng=i) for i in range(2)]
+        refused = pytest.raises(EstimationError, match="without a pdf")
+        with refused:
+            fisher_information(normal, model, 30)
+        with refused:
+            mle_fit(normal, data[0])
+        with refused:
+            impute(normal, type2_censor(data[0], 20))
+        with refused:
+            delta_lcl(parse_structure("series(c1,c2)"), [normal, normal], data, 1.0, 0.1)
+
+    @pytest.mark.filterwarnings("ignore")  # quad reports the roundoff it gives up on
+    def test_non_finite_information_raises(self):
+        # a pdf differenced from the cdf is 0 where the cdf rounds to 1 but the
+        # density does not, so the quadrature of its log slope is not finite
+        from scipy.special import ndtr, ndtri
+
+        def differenced_pdf(x):
+            h = 1e-6 * np.maximum(1.0, np.abs(x))
+            return (ndtr(x + h) - ndtr(x - h)) / (2.0 * h)
+
+        normal = Generic(cdf=ndtr, quantile=ndtri, kappa1=0.0, kappa2=1.0,
+                         sample=lambda shape, rng: rng.standard_normal(shape),
+                         pdf=differenced_pdf, name="normal")
         model = ComponentModel(normal, mu=0.0, sigma=1.0)
         with pytest.raises(EstimationError, match="not finite"):
             fisher_information(normal, model, 30)
@@ -329,7 +352,7 @@ class TestDeltaLcl:
         from relbound.structures import eval_reliability, structure_partials
 
         thetas = [(f.mu_hat, f.sigma_hat) for f in fits]
-        partials = structure_partials(node, [f.r_hat_at(t) for f in fits])
+        partials = structure_partials(node, [component_reliability(f, t) for f in fits])
         h = 1e-6
         for i in range(3):
             grad = partials[i] * _reliability_gradient(families[i], fits[i], t)
@@ -354,6 +377,23 @@ class TestDeltaLcl:
             res = delta_lcl(node, [EXPONENTIAL], data, t, 0.1, form="standard")
             cover += 0.9 >= res.raw_value
         assert cover / reps == pytest.approx(0.90, abs=0.02)
+
+    @pytest.mark.filterwarnings("ignore")  # the pdf below overflows to NaN
+    def test_non_finite_standard_error_raises(self):
+        # exp(-x) overflows at the standardized log time of t = 1e-200, so the
+        # pdf, the gradient and the standard error are NaN there
+        logistic = Generic(cdf=LOGISTIC.cdf, quantile=LOGISTIC.quantile,
+                           sample=LOGISTIC.sample_standardized,
+                           pdf=lambda x: np.exp(-x) / (1.0 + np.exp(-x)) ** 2,
+                           kappa1=0.0, kappa2=LOGISTIC.kappa2, name="logistic")
+        node = parse_structure("series(c1,c2)")
+        model = ComponentModel(logistic, mu=0.0, sigma=0.5)
+        data = [sample_lifetimes(model, 20, rng=i) for i in range(2)]
+        assert math.isfinite(delta_lcl(node, [logistic] * 2, data, 1.0, 0.1).raw_value)
+        with pytest.raises(EstimationError, match="standard error at t=1e-200 is not finite"):
+            delta_lcl(node, [logistic] * 2, data, 1e-200, 0.1)
+        with pytest.raises(EstimationError, match="not finite"):
+            delta_curve(node, [logistic] * 2, data, [1e-200, 1.0], 0.1, form="standard")
 
     def test_alpha_validation(self):
         node = parse_structure("series(c1)")

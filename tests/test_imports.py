@@ -153,3 +153,27 @@ def test_dispatchers_keep_the_argument_names_the_benchmark_binds():
     for fn, when in ((simulation.compute_lcl, "t"), (simulation.lcl_curve, "t_grid")):
         names = set(inspect.signature(fn).parameters)
         assert set(BOUND_BY_NAME) | {when} <= names, fn.__name__
+
+
+def reexports(source: str) -> dict:
+    """Module name -> the names the package ``__init__`` imports from it."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.setdefault(node.module, set()).update(a.name for a in node.names)
+    return found
+
+
+def test_reexport_guard_sees_imports():
+    source = "from .a import x, y\nfrom .b import z\nfrom .a import w\nimport os\n"
+    assert reexports(source) == {"a": {"x", "y", "w"}, "b": {"z"}}
+
+
+def test_every_reexport_is_in_its_modules_all():
+    # a name deleted from a module must not linger as a package export
+    import importlib
+
+    found = reexports((PACKAGE / "__init__.py").read_text())
+    missing = {module: names - set(importlib.import_module(f"relbound.{module}").__all__)
+               for module, names in found.items()}
+    assert {module: names for module, names in missing.items() if names} == {}

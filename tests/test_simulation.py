@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from relbound.distributions import (
     sample_lifetimes,
 )
 from relbound.errors import ConfigError, StructureParseError
+from relbound.results import LclResult
 from relbound.simulation import (
     CoverageReport,
     LclRequest,
@@ -27,9 +29,7 @@ from relbound.simulation import (
     compute_lcl,
     default_t_grid,
     detect_bend_back,
-    falling_outside_count,
     lcl_curve,
-    lcl_quantile,
     run_coverage_study,
     runtime_scaling_probe,
     solve_identical_components,
@@ -164,6 +164,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="references 2 components"):
             small_config(family=None, target_reliability=None,
                          components=({"family": "exponential", "rate": 1.0},))
+
+    @pytest.mark.parametrize("decades", [0.0, -1.0, math.nan, 1e3])
+    def test_bend_back_grid_checked_when_built(self, decades):
+        # the grid check of lcl_curve refuses a grid that is flat, decreasing,
+        # NaN or past the float range, with no overflow warning on the way
+        raw = {**small_config().to_dict(), "bend_back": {"points": 5, "decades": decades}}
+        for build in (lambda: small_config(bend_back=True, bend_back_points=5,
+                                           bend_back_decades=decades),
+                      lambda: StudyConfig.from_dict(raw)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="bend-back grid of .* decades: "
+                                                     "(t_grid|mission time)"):
+                    build()
+        # without the scan the grid is never built
+        assert small_config(bend_back_decades=decades).bend_back is False
 
 
 @pytest.mark.parametrize("family", [WEIBULL, LOGNORMAL, EXPONENTIAL,
@@ -314,14 +330,14 @@ class TestSolve:
 
 
 class TestAggregates:
-    def test_lcl_quantile_tenths(self):
-        assert lcl_quantile(np.arange(0.1, 1.01, 0.1), 0.9) == pytest.approx(0.9)
-
-    def test_falling_outside(self):
-        assert falling_outside_count([0.2, 0.8, 1.0, 0.0]) == 0
-        assert falling_outside_count([-0.1, 0.5, 1.2]) == 2
-        with pytest.raises(ValueError):
-            falling_outside_count([])
+    def test_cell_counts_each_result_that_fell_outside(self):
+        # a NaN raw value lies in no interval, so it fell outside [0, 1]
+        raws = [0.2, 0.8, 1.0, 0.0, -0.1, 1.2, math.nan]
+        runs = [(LclResult(method="bb", raw_value=raw, r_hat=0.9, t=1.0, alpha=0.1,
+                           percentile=False), 1.0, None) for raw in raws]
+        cell = simulation._method_cell(small_config(), "bb", 8, runs + ["EstimationError: x"],
+                                       0.9)
+        assert (cell.fell_outside, cell.failures, cell.replications) == (3, 1, 8)
 
 
 class TestCoverageStudy:
@@ -349,6 +365,12 @@ class TestCoverageStudy:
         assert header == ("method,n,coverage,coverage_se,q90_lcl,"
                           "fell_outside,bend_back,failures,median_ms")
 
+    @pytest.mark.parametrize("q,column", [(0.5, "q50_lcl"), (0.975, "q97.5_lcl")])
+    def test_csv_quantile_column_names_the_lcl_quantile(self, q, column):
+        report = run_coverage_study(small_config(replications=5, lcl_quantile=q))
+        assert report.csv_text().splitlines()[0].split(",")[4] == column
+        assert report.to_json_dict()["config"]["lcl_quantile"] == q
+
     def test_csv_and_summary_rows(self):
         # a bend-back cell, a cell outside [0, 1] and a cell whose every replication failed
         cells = (
@@ -362,8 +384,8 @@ class TestCoverageStudy:
                        coverage_se=None, q_lcl=None, fell_outside=0, bend_back=None,
                        boundary_hits=0, median_ms=None),
         )
-        report = CoverageReport(config={}, solved_components=None, true_reliability=0.9548,
-                                cells=cells)
+        report = CoverageReport(config={"lcl_quantile": 0.9}, solved_components=None,
+                                true_reliability=0.9548, cells=cells)
         assert report.csv_text() == (
             "method,n,coverage,coverage_se,q90_lcl,fell_outside,bend_back,failures,median_ms\n"
             "dbpt,5,0.666667,0.272166,0.9123456789,0,1,1,15.457\n"
@@ -395,6 +417,23 @@ class TestCoverageStudy:
         for cell in report.cells:
             assert cell.failures == 4
             assert cell.coverage is None
+
+    @pytest.mark.filterwarnings("ignore")  # the pdf below overflows to NaN
+    def test_non_finite_delta_error_fails_each_replication(self, monkeypatch):
+        # exp(-x) overflows at the standardized log time of t = 1e-200, so the
+        # delta standard error is NaN there
+        logistic = Generic(cdf=lambda x: 1.0 / (1.0 + np.exp(-x)),
+                           quantile=lambda p: np.log(p / (1.0 - p)),
+                           sample=lambda shape, rng: rng.logistic(size=shape),
+                           pdf=lambda x: np.exp(-x) / (1.0 + np.exp(-x)) ** 2,
+                           kappa1=0.0, kappa2=math.pi / math.sqrt(3.0), name="logistic")
+        monkeypatch.setattr(simulation, "family_from_name", lambda name: logistic)
+        config = small_config(family=None, target_reliability=None, t=1e-200, n_values=(20,),
+                              replications=3, methods=("delta", "delta-standard"),
+                              components=({"family": "logistic", "mu": 0.0, "sigma": 0.3},) * 2)
+        report = run_coverage_study(config)
+        assert [(c.method, c.failures, c.coverage) for c in report.cells] == [
+            ("delta", 3, None), ("delta-standard", 3, None)]
 
     def test_failed_imputation_fails_each_method_not_the_study(self):
         # 90% censoring of n = 5 leaves one observed failure, too few to impute
