@@ -25,7 +25,6 @@ from .distributions import (
     time_at_reliability,
 )
 from .errors import (
-    BoundaryError,
     ConfigError,
     DegenerateSampleError,
     EstimationError,
@@ -43,7 +42,7 @@ from .estimators import (
     moment_estimate,
     observed_information,
 )
-from .resampling import AuxStat, gen_aux, gen_aux_batch, transform_reliability
+from .resampling import gen_aux_batch
 from .simulation import (
     CoverageReport,
     LclRequest,
@@ -52,7 +51,6 @@ from .simulation import (
     bend_back_violations,
     compute_lcl,
     default_t_grid,
-    detect_bend_back,
     lcl_curve,
     run_coverage_study,
     runtime_scaling_probe,

@@ -28,7 +28,6 @@ import numpy as np
 from .censoring import CensoredDataset, impute
 from .distributions import family_from_name
 from .errors import (
-    BoundaryError,
     ConfigError,
     DegenerateSampleError,
     EstimationError,
@@ -141,10 +140,18 @@ def _read_times_csv(path: Path):
     for row in rows[start:]:
         try:
             times.append(float(row[0]))
-            flags.append(int(float(row[1])) if has_flag and len(row) > 1 else 0)
+            flags.append(float(row[1]) if has_flag and len(row) > 1 else 0)
         except ValueError as exc:
             raise ConfigError(f"{path}: bad row {row!r}") from exc
-    return np.asarray(times), np.asarray(flags, dtype=bool)
+    return np.asarray(times), _censored_mask(flags, path)
+
+
+def _censored_mask(flags, where) -> np.ndarray:
+    """A component's censored flags as a mask; each flag is 0 or 1 (in JSON, also false or true)."""
+    bad = [f for f in flags if f not in (0, 1)] if isinstance(flags, list) else [flags]
+    if bad:
+        raise ConfigError(f"{where}: censored flags must be 0 or 1, got {bad[0]!r}")
+    return np.array(flags, dtype=bool)
 
 
 def _load_record(cls, path: str, args, defaults=None, **given):
@@ -172,7 +179,7 @@ def _load_request(args):
     for spec in request.components:
         if "times" in spec:
             x = np.asarray(spec["times"], dtype=float)
-            mask = np.asarray(spec.get("censored", np.zeros(x.size)), dtype=float).astype(bool)
+            mask = _censored_mask(spec.get("censored", [0] * x.size), f"component {spec['id']}")
         else:
             x, mask = _read_times_csv(Path(args.request).parent / spec["data_file"])
         if mask.shape != x.shape:
@@ -227,7 +234,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_bendback_scan(args) -> int:
     request, families, datasets, masks = _load_request(args)
-    if args.t_min is not None and args.t_max is not None:
+    if (args.t_min is None) != (args.t_max is None):
+        raise ValueError("give both t-min and t-max, or neither")
+    if args.t_min is not None:
         if not 0 < args.t_min < args.t_max:
             raise ValueError("need 0 < t-min < t-max")
         grid = np.logspace(np.log10(args.t_min), np.log10(args.t_max), args.points)
@@ -325,7 +334,7 @@ def main(argv=None) -> int:
     except (EstimationError, DegenerateSampleError) as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
-    except (BoundaryError, ValueError) as exc:
+    except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except RelboundError as exc:

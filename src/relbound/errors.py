@@ -1,7 +1,7 @@
 """Exception types shared across the package."""
 
 __all__ = ["RelboundError", "StructureParseError", "StructureError", "DegenerateSampleError",
-           "BoundaryError", "EstimationError", "ConfigError"]
+           "EstimationError", "ConfigError"]
 
 
 class RelboundError(Exception):
@@ -24,10 +24,6 @@ class StructureError(RelboundError):
 
 class DegenerateSampleError(RelboundError):
     """All log lifetimes identical, so the scale cannot be estimated."""
-
-
-class BoundaryError(RelboundError):
-    """Reliability argument sits on the boundary of (0, 1) where the transform is undefined."""
 
 
 class EstimationError(RelboundError):

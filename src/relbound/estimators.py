@@ -313,7 +313,15 @@ def _generic_unit_information(family: LifetimeFamily) -> np.ndarray:
     def entry(weight_fn):
         def integrand(z):
             dens = float(family.pdf(np.asarray(z)))
-            if not np.isfinite(dens) or dens <= 1e-300:
+            if not np.isfinite(dens):
+                # a density that overflowed where the law has no mass is no mass;
+                # anywhere else the pdf is broken and the integral would be wrong
+                tail = min(float(family.cdf(z)), float(family.sf(z)))
+                if not tail <= 1e-300:
+                    raise EstimationError(f"pdf of family {family.name!r} is not finite at "
+                                          f"z={z:.6g}, inside the law's support")
+                return 0.0
+            if dens <= 1e-300:
                 return 0.0  # outside the effective support; no mass, no score
             return weight_fn(z) * dens
 

@@ -17,38 +17,17 @@ statistic with zbar fixed at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .distributions import Exponential, LifetimeFamily, LogNormal
-from .errors import BoundaryError
 from .rng import generator
 
 __all__ = [
-    "AuxStat",
-    "gen_aux",
     "gen_aux_batch",
-    "transform_reliability",
     "transform_w",
     "transform_logr",
     "transform_scale",
 ]
-
-
-@dataclass(frozen=True)
-class AuxStat:
-    """Sample mean and SD of ``n`` standardized draws."""
-
-    z_bar: float
-    m: float
-    n: int
-
-    def __post_init__(self):
-        if self.m <= 0.0:
-            raise ValueError("auxiliary SD must be positive")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
 
 
 def gen_aux_batch(family: LifetimeFamily, n: int, size: int, rng=None,
@@ -79,13 +58,6 @@ def gen_aux_batch(family: LifetimeFamily, n: int, size: int, rng=None,
         return z_bar, m
     draws = family.sample_standardized((size, n), rng)
     return draws.mean(axis=1), draws.std(axis=1, ddof=1)
-
-
-def gen_aux(family: LifetimeFamily, n: int, rng=None,
-            paper_literal: bool = False) -> AuxStat:
-    """Draw one auxiliary pair for a sample of size ``n``."""
-    z_bar, m = gen_aux_batch(family, n, 1, rng, paper_literal)
-    return AuxStat(z_bar=float(z_bar[0]), m=float(m[0]), n=n)
 
 
 def transform_w(family: LifetimeFamily, w, z_bar, m, out=None):
@@ -124,18 +96,3 @@ def transform_scale(family: LifetimeFamily, v, z_bar, m, out=None):
         return transform_logr(v, m, out)
     return transform_w(family, v, z_bar, m, out)
 
-
-def transform_reliability(family: LifetimeFamily, r, aux: AuxStat):
-    """Resampled reliability from a reliability value and an auxiliary pair.
-
-    Two-parameter families: 1 - F[(F^{-1}(1 - r) - z_bar) * kappa2 / m + kappa1].
-    Exponential: exp(log r / m).  Strictly increasing in ``r`` for fixed aux.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any((r <= 0.0) | (r >= 1.0)):
-        raise BoundaryError("transform undefined at r in {0, 1}")
-    if isinstance(family, Exponential):
-        out = np.exp(transform_logr(np.log(r), aux.m))
-    else:
-        out = family.sf(transform_w(family, family.isf(r), aux.z_bar, aux.m))
-    return float(out) if np.ndim(out) == 0 else out

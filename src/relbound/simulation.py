@@ -64,7 +64,6 @@ __all__ = [
     "CoverageReport",
     "compute_lcl",
     "lcl_curve",
-    "detect_bend_back",
     "bend_back_violations",
     "run_coverage_study",
     "runtime_scaling_probe",
@@ -432,23 +431,13 @@ def lcl_curve(method: str, node: StructureNode, families, datasets, t_grid,
 
 
 def bend_back_violations(curve) -> int:
-    """Grid-adjacent monotonicity violations: LCL(t_{k+1}) > LCL(t_k) + 1e-12."""
+    """Grid-adjacent monotonicity violations: LCL(t_{k+1}) > LCL(t_k) + 1e-12.
+
+    A curve drawn under common random numbers bends back when the count is
+    positive.
+    """
     curve = np.asarray(curve)
     return int(np.sum(curve[1:] > curve[:-1] + 1e-12))
-
-
-def detect_bend_back(method: str, node: StructureNode, families, datasets,
-                     t_grid, alpha=0.1, B: int = 1000, C: int = 500, seed=None, *,
-                     paper_literal_aux=False, censored_masks=None) -> int:
-    """Count of grid-adjacent monotonicity violations of the LCL curve.
-
-    A violation is LCL(t_{k+1}) > LCL(t_k) + 1e-12 under common random
-    numbers (see :func:`bend_back_violations`); a dataset exhibits bend-back
-    when the count is positive.
-    """
-    curve = lcl_curve(method, node, families, datasets, t_grid, alpha, B, C, seed,
-                      paper_literal_aux=paper_literal_aux, censored_masks=censored_masks)
-    return bend_back_violations(curve)
 
 
 # --- the coverage study -------------------------------------------------------
@@ -569,10 +558,10 @@ def _one_replication(node, families, models, config: StudyConfig, ni, n, rep) ->
                               paper_literal_aux=config.paper_literal_aux,
                               censored_masks=delta_masks, recensor_n_tilde=recensor)
             elapsed_ms = (time.perf_counter() - start) * 1e3
-            bend = None if grid is None else detect_bend_back(
+            bend = None if grid is None else bend_back_violations(lcl_curve(
                 method, node, families, data, grid, config.alpha, config.B, config.C,
                 child_seedseq(rep_seed, 100 + mi), paper_literal_aux=config.paper_literal_aux,
-                censored_masks=delta_masks)
+                censored_masks=delta_masks))
             runs[method] = (res, elapsed_ms, bend)
         except RelboundError as exc:
             runs[method] = f"{type(exc).__name__}: {exc}"

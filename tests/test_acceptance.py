@@ -22,7 +22,7 @@ from scipy.stats import ks_2samp
 
 import relbound as rb
 from relbound.bootstrap import dbp_lcl_oracle, dbpt_lcl
-from relbound.resampling import gen_aux_batch
+from relbound.resampling import gen_aux_batch, transform_scale
 from relbound.rng import child_seedseq, generator
 from relbound.simulation import StudyConfig, default_t_grid, lcl_curve, run_coverage_study, runtime_scaling_probe
 
@@ -64,9 +64,8 @@ def test_01_structure_oracle_equivalence():
 
 def _transform_draws(family, r, n, size, seed):
     zb, m = gen_aux_batch(family, n, size, generator(seed))
-    if family is rb.EXPONENTIAL:
-        return np.exp(np.log(r) / m)
-    return np.asarray(family.sf((family.isf(r) - zb) * (family.kappa2 / m) + family.kappa1))
+    v = np.log(r) if family is rb.EXPONENTIAL else family.isf(r)
+    return family.reliability(transform_scale(family, v, zb, m))
 
 
 def _reestimation_draws(family, r, n, size, seed):

@@ -188,6 +188,40 @@ class TestLclCommand:
         assert 0.0 <= out["lcl"] <= 1.0
 
 
+class TestCensoredFlags:
+    TIMES = [1.2, 2.5, 3.1, 3.6, 4.0, 4.0]
+
+    def _request(self, tmp_path, flags, source):
+        entry = {"id": "c1", "family": "weibull"}
+        if source == "inline":
+            entry.update(times=self.TIMES, censored=flags)
+        else:
+            rows = [f"{t},{f}" for t, f in zip(self.TIMES, flags)]
+            (tmp_path / "c1.csv").write_text("time,censored\n" + "\n".join(rows) + "\n")
+            entry["data_file"] = "c1.csv"
+        path = tmp_path / f"{source}.json"
+        path.write_text(json.dumps({"structure": "series(c1)", "components": [entry],
+                                    "t": 5.0, "method": "delta"}))
+        return path
+
+    def test_both_sources_read_flags_alike(self, tmp_path, capsys):
+        flags = [0, 0, 0, 0, 1, 1]
+        assert main(["lcl", str(self._request(tmp_path, flags, "csv"))]) == 0
+        from_csv = json.loads(capsys.readouterr().out)
+        for inline in (flags, [bool(f) for f in flags]):
+            assert main(["lcl", str(self._request(tmp_path, inline, "inline"))]) == 0
+            assert json.loads(capsys.readouterr().out) == from_csv
+
+    @pytest.mark.parametrize("source", ["inline", "csv"])
+    @pytest.mark.parametrize("bad", [0.5, 2, -1, "nan"])
+    def test_flag_other_than_0_or_1_exit_2(self, tmp_path, capsys, source, bad):
+        path = self._request(tmp_path, [0, 0, bad, 0, 1, 1], source)
+        assert main(["lcl", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "censored flags must be 0 or 1" in captured.err
+
+
 class TestSimulateCommand:
     def test_smoke_config_runs_and_writes(self, tmp_path):
         config = {
@@ -271,6 +305,13 @@ class TestOtherCommands:
             scan = run_cli(["bendback-scan", *args, "--points", "5"])
             assert lcl.returncode == scan.returncode == 4, scan.stdout
             assert scan.stderr == lcl.stderr
+
+    @pytest.mark.parametrize("bound", ["--t-min", "--t-max"])
+    def test_bendback_scan_refuses_a_lone_grid_bound(self, request_file, capsys, bound):
+        assert main(["bendback-scan", str(request_file), bound, "10", "--B", "20"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "give both t-min and t-max" in captured.err
 
     def test_perf_probe(self, tmp_path):
         config = {

@@ -307,6 +307,29 @@ class TestFisherInformation:
         with pytest.raises(EstimationError, match="not finite"):
             delta_lcl(node, [normal, normal], data, 1.0, 0.1)
 
+    @pytest.mark.filterwarnings("ignore")  # the logistic pdf below overflows to NaN
+    def test_nan_density_is_no_mass_only_outside_the_support(self):
+        from scipy.special import ndtr, ndtri
+
+        # NaN on x >= 1, where the normal law still has mass: refused
+        normal = Generic(cdf=ndtr, quantile=ndtri, kappa1=0.0, kappa2=1.0,
+                         sample=lambda shape, rng: rng.standard_normal(shape),
+                         pdf=lambda x: np.where(x < 1.0, np.exp(-0.5 * x * x)
+                                                / math.sqrt(2.0 * math.pi), np.nan),
+                         name="normal")
+        with pytest.raises(EstimationError, match="not finite at z=1, inside"):
+            fisher_information(normal, ComponentModel(normal, mu=0.0, sigma=1.0), 1)
+        # NaN only far in the left tail, where the cdf underflows to 0: no mass
+        logistic = Generic(cdf=LOGISTIC.cdf, quantile=LOGISTIC.quantile,
+                           sample=LOGISTIC.sample_standardized,
+                           pdf=lambda x: np.exp(-x) / (1.0 + np.exp(-x)) ** 2,
+                           kappa1=0.0, kappa2=LOGISTIC.kappa2, name="logistic")
+        assert np.isnan(logistic.pdf(-1000.0))
+        info = fisher_information(logistic, ComponentModel(logistic, mu=0.0, sigma=1.0), 1)
+        assert info[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-7)
+        assert info[0, 1] == pytest.approx(0.0, abs=1e-9)
+        assert info[1, 1] == pytest.approx(1.0 / 3.0 + math.pi ** 2 / 9.0, rel=1e-7)
+
     def test_observed_matches_expected_complete_lognormal(self):
         data = sample_lifetimes(ComponentModel(LOGNORMAL, mu=0.0, sigma=1.0), 400, rng=4)
         est = mle_fit(LOGNORMAL, data)

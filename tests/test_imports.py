@@ -108,8 +108,7 @@ def test_bootstrap_names_no_family_class():
 SEAM = {
     "compute_lcl": {"bp_lcl", "bb_lcl", "dbpt_lcl", "dbp_lcl_oracle", "delta_lcl"},
     "lcl_curve": {"bootstrap_curve", "delta_curve"},
-    "detect_bend_back": {"lcl_curve"},
-    "_one_replication": {"compute_lcl", "detect_bend_back", "type2_censor", "impute",
+    "_one_replication": {"compute_lcl", "lcl_curve", "type2_censor", "impute",
                          "sample_lifetimes"},
 }
 # the wrappers of compute_lcl and lcl_curve bind their arguments by these names

@@ -5,9 +5,19 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from relbound.distributions import EXPONENTIAL, LOGNORMAL, WEIBULL, ComponentModel, time_at_reliability
-from relbound.errors import BoundaryError
-from relbound.resampling import AuxStat, gen_aux, gen_aux_batch, transform_reliability
+from relbound.resampling import gen_aux_batch, transform_scale
 from relbound.rng import generator
+
+
+def transformed(family, r, z_bar, m):
+    """Reliability ``r`` resampled by the two calls the first layer makes.
+
+    ``r`` goes to its scale value (the standardized quantile, or the log
+    reliability of an exponential), then through ``transform_scale`` and
+    ``family.reliability``.
+    """
+    v = np.log(r) if family is EXPONENTIAL else family.isf(r)
+    return family.reliability(transform_scale(family, v, z_bar, m))
 
 
 class TestGenAux:
@@ -33,11 +43,6 @@ class TestGenAux:
         assert z.mean() == pytest.approx(-0.5772156649015329, abs=0.004)
         assert (m ** 2).mean() == pytest.approx(WEIBULL.kappa2 ** 2, abs=0.01)
 
-    def test_single_draw_wrapper(self):
-        aux = gen_aux(LOGNORMAL, 12, rng=9)
-        assert isinstance(aux, AuxStat)
-        assert aux.n == 12 and aux.m > 0
-
     def test_size_and_n_validation(self):
         with pytest.raises(ValueError):
             gen_aux_batch(LOGNORMAL, 1, 10)
@@ -47,8 +52,8 @@ class TestGenAux:
             gen_aux_batch(WEIBULL, 5, 0)
 
     def test_exponential_allows_n1(self):
-        aux = gen_aux(EXPONENTIAL, 1, rng=0)
-        assert aux.z_bar == 0.0
+        z, m = gen_aux_batch(EXPONENTIAL, 1, 1, rng=0)
+        assert z.tolist() == [0.0] and m[0] > 0.0
 
     def test_paper_literal_lognormal_differs(self):
         z_exact, m_exact = gen_aux_batch(LOGNORMAL, 10, 50_000, rng=5)
@@ -60,44 +65,33 @@ class TestGenAux:
 
 class TestTransform:
     def test_lognormal_identity_at_population_values(self):
-        aux = AuxStat(z_bar=0.0, m=1.0, n=10)
         for r in (0.1, 0.5, 0.9, 0.999):
-            assert transform_reliability(LOGNORMAL, r, aux) == pytest.approx(r, abs=1e-15)
+            assert transformed(LOGNORMAL, r, 0.0, 1.0) == pytest.approx(r, abs=1e-15)
 
     def test_exponential_identity_at_m_one(self):
-        aux = AuxStat(z_bar=0.0, m=1.0, n=5)
-        assert transform_reliability(EXPONENTIAL, 0.9, aux) == pytest.approx(0.9, rel=1e-15)
+        assert transformed(EXPONENTIAL, 0.9, 0.0, 1.0) == pytest.approx(0.9, rel=1e-15)
 
     def test_weibull_identity_at_population_values(self):
-        aux = AuxStat(z_bar=WEIBULL.kappa1, m=WEIBULL.kappa2, n=5)
         for r in (0.2, 0.5, 0.99):
-            assert transform_reliability(WEIBULL, r, aux) == pytest.approx(r, rel=1e-12)
+            assert transformed(WEIBULL, r, WEIBULL.kappa1, WEIBULL.kappa2) == pytest.approx(
+                r, rel=1e-12)
 
     def test_exponential_algebraic_inverse(self):
-        aux = AuxStat(z_bar=0.0, m=1.7, n=5)
-        r = 0.83
-        assert transform_reliability(EXPONENTIAL, r, aux) ** aux.m == pytest.approx(r, rel=1e-12)
-
-    def test_boundary_rejected(self):
-        aux = AuxStat(z_bar=0.0, m=1.0, n=5)
-        for r in (0.0, 1.0):
-            with pytest.raises(BoundaryError):
-                transform_reliability(WEIBULL, r, aux)
+        m, r = 1.7, 0.83
+        assert transformed(EXPONENTIAL, r, 0.0, m) ** m == pytest.approx(r, rel=1e-12)
 
     def test_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(6)
-        for _ in range(200):
-            aux = gen_aux(WEIBULL, 8, rng)
-            out = transform_reliability(WEIBULL, float(rng.uniform(0.01, 0.99)), aux)
-            assert 0.0 < out < 1.0
+        z_bar, m = gen_aux_batch(WEIBULL, 8, 200, rng)
+        out = transformed(WEIBULL, rng.uniform(0.01, 0.99, 200), z_bar, m)
+        assert np.all((out > 0.0) & (out < 1.0))
 
     @given(st.floats(0.01, 0.98), st.floats(1e-4, 0.019))
     @settings(max_examples=100, deadline=None)
     def test_strictly_increasing_in_r(self, r, dr):
-        aux = AuxStat(z_bar=-0.3, m=1.4, n=7)
         for family in (WEIBULL, LOGNORMAL, EXPONENTIAL):
-            lo = transform_reliability(family, r, aux)
-            hi = transform_reliability(family, r + dr, aux)
+            lo = transformed(family, r, -0.3, 1.4)
+            hi = transformed(family, r + dr, -0.3, 1.4)
             assert hi > lo
 
 
@@ -121,13 +115,9 @@ class TestTheorem3Law:
         r, n, size = 0.8, 10, 100_000
         t = time_at_reliability(model, r)
         zb, m = gen_aux_batch(WEIBULL, n, size, rng=21)
-        transformed = np.asarray(WEIBULL.sf(
-            (WEIBULL.isf(r) - zb) * (WEIBULL.kappa2 / m) + WEIBULL.kappa1))
-        # spot-check the vectorized expression against the public scalar transform
-        probe = transform_reliability(WEIBULL, r, AuxStat(float(zb[0]), float(m[0]), n))
-        assert probe == pytest.approx(transformed[0], rel=1e-12)
+        draws = transformed(WEIBULL, r, zb, m)
         oracle = self._oracle_draws(WEIBULL, model, t, n, size, 22)
-        assert ks_2samp(transformed, oracle).pvalue > 0.01
+        assert ks_2samp(draws, oracle).pvalue > 0.01
 
     def test_parameter_invariance_two_weibull_models(self):
         # same r(t), very different (mu, sigma): identical estimator laws

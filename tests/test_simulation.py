@@ -25,10 +25,10 @@ from relbound.simulation import (
     LclRequest,
     MethodCell,
     StudyConfig,
+    bend_back_violations,
     check_lcl_settings,
     compute_lcl,
     default_t_grid,
-    detect_bend_back,
     lcl_curve,
     run_coverage_study,
     runtime_scaling_probe,
@@ -475,9 +475,9 @@ class TestCurvesAndBendBack:
         node = parse_structure("series(c1,c2)")
         data = self._dataset()
         with pytest.raises(ValueError):
-            detect_bend_back("bp", node, [WEIBULL] * 2, data, [1.0], seed=1)
+            bend_back_violations(lcl_curve("bp", node, [WEIBULL] * 2, data, [1.0], seed=1))
         with pytest.raises(ValueError):
-            detect_bend_back("bp", node, [WEIBULL] * 2, data, [2.0, 1.0], seed=1)
+            bend_back_violations(lcl_curve("bp", node, [WEIBULL] * 2, data, [2.0, 1.0], seed=1))
 
     def test_bp_curve_monotone_and_bounded(self):
         node = parse_structure("series(c1,c2)")
@@ -487,15 +487,16 @@ class TestCurvesAndBendBack:
             curve = lcl_curve("bp", node, [WEIBULL] * 2, data, grid, 0.1, 400, 0, seed=seed)
             assert np.all(curve[1:] <= curve[:-1] + 1e-12)
             assert np.all((curve >= 0) & (curve <= 1))
-            assert detect_bend_back("bp", node, [WEIBULL] * 2, data, grid,
-                                    0.1, 400, 0, seed=seed) == 0
+            assert bend_back_violations(lcl_curve("bp", node, [WEIBULL] * 2, data, grid,
+                                                  0.1, 400, 0, seed=seed)) == 0
 
     def test_constant_curve_counts_zero(self):
         # delta on a zero-variance-direction grid: tiny grid around one point
         node = parse_structure("series(c1,c2)")
         data = self._dataset(3)
         grid = np.array([1.0, 1.0 + 1e-9])
-        violations = detect_bend_back("delta", node, [WEIBULL] * 2, data, grid, seed=0)
+        violations = bend_back_violations(lcl_curve("delta", node, [WEIBULL] * 2, data, grid,
+                                                    seed=0))
         assert violations == 0
 
     @pytest.mark.parametrize("method", simulation.METHODS)
