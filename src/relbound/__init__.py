@@ -62,7 +62,6 @@ from .structures import (
     Parallel,
     Series,
     StructureNode,
-    component_counts,
     eval_reliability,
     eval_reliability_bruteforce,
     eval_structure,

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .censoring import impute, type2_censor
-from .distributions import ComponentModel, component_reliability, mission_times, sample_lifetimes
+from .distributions import ComponentModel, component_reliability, mission_grid, sample_lifetimes
 from .errors import EstimationError
 from .estimators import moment_estimate
 from .rng import generator, seed_entropy
@@ -197,9 +197,7 @@ def _run(method, structure, families, datasets, t, alpha, B, C, rng, paper_liter
     s = num_components(structure)
     if len(families) != s or len(datasets) != s:
         raise ValueError(f"structure has {s} components; families/datasets must match")
-    t = mission_times(t)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("t_grid must be a non-empty 1-D array")
+    t = mission_grid(t)
     comps = [moment_estimate(family, data) for family, data in zip(families, datasets)]
     r_hat = _r_hat(structure, comps, t)
     if method == "dbp":

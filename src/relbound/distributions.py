@@ -44,6 +44,7 @@ __all__ = [
     "family_from_name",
     "ComponentModel",
     "component_reliability",
+    "mission_grid",
     "mission_times",
     "sample_lifetimes",
     "time_at_reliability",
@@ -247,12 +248,10 @@ _FAMILIES = {
 
 
 def family_from_name(name: str) -> LifetimeFamily:
-    try:
-        return _FAMILIES[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown family {name!r}; expected one of {sorted(_FAMILIES)}"
-        ) from None
+    family = _FAMILIES.get(name.lower()) if isinstance(name, str) else None
+    if family is None:
+        raise ValueError(f"unknown family {name!r}; expected one of {sorted(_FAMILIES)}")
+    return family
 
 
 def _check_prob(p):
@@ -302,6 +301,14 @@ def mission_times(t) -> np.ndarray:
     if not ((t > 0.0) & (t < math.inf)).all():
         raise ValueError("mission time t must be positive and finite")
     return t
+
+
+def mission_grid(t_grid) -> np.ndarray:
+    """``t_grid`` as a float array, refused unless it is a non-empty 1-D array of mission times."""
+    t_grid = mission_times(t_grid)
+    if t_grid.ndim != 1 or t_grid.size == 0:
+        raise ValueError("t_grid must be a non-empty 1-D array")
+    return t_grid
 
 
 def component_reliability(model, t) -> "float | np.ndarray":

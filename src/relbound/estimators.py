@@ -27,7 +27,7 @@ from .distributions import (
     LogNormal,
     Weibull,
     component_reliability,
-    mission_times,
+    mission_grid,
 )
 from .errors import DegenerateSampleError, EstimationError
 from .results import LclResult
@@ -457,7 +457,7 @@ def check_delta_settings(alpha) -> None:
 def _delta_at(structure, families, datasets, times, alpha, form, censored_masks):
     """One MLE fit, then ``(raw, r_hat)`` at each time; the checks of ``delta_lcl``."""
     check_delta_settings(alpha)
-    times = mission_times(times)
+    times = mission_grid(times)
     if form not in ("paper", "standard"):
         raise ValueError("form must be 'paper' or 'standard'")
     s = num_components(structure)

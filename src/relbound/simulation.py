@@ -47,6 +47,7 @@ from .distributions import (
     Exponential,
     component_reliability,
     family_from_name,
+    mission_grid,
     mission_times,
     sample_lifetimes,
 )
@@ -99,10 +100,14 @@ def _as_int(name, value) -> int:
     return int(value)
 
 
-def _as_float(name, value) -> float:
+def _is_number(value) -> bool:
     """An int or a float; not a flag, a string or anything else."""
-    number = isinstance(value, (int, float, np.integer, np.floating))
-    if not number or isinstance(value, (bool, np.bool_)):
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, (bool, np.bool_)))
+
+
+def _as_float(name, value) -> float:
+    if not _is_number(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
 
@@ -303,6 +308,12 @@ class LclRequest:
                                   "'censored' flags) or a 'data_file', and no other key")
             if spec["id"] not in ids or spec["id"] in by_id:
                 raise ConfigError(f"component id {spec['id']!r}: ids are {ids}, each used once")
+            times = spec.get("times", [])
+            bad = ([x for x in times if not _is_number(x)] if isinstance(times, (list, tuple))
+                   else [times])
+            if bad:
+                raise ConfigError(f"component {spec['id']}: times must be a list of numbers, "
+                                  f"got {bad[0]!r}")
             _entry_family(spec)
             by_id[spec["id"]] = dict(spec)
         object.__setattr__(self, "components", tuple(by_id[i] for i in ids))
@@ -316,7 +327,7 @@ class LclRequest:
 def _entry_family(spec: dict):
     """The family a ``components`` entry names; an unknown family is a ConfigError."""
     try:
-        return family_from_name(str(spec.get("family")))
+        return family_from_name(spec.get("family"))
     except ValueError as exc:
         raise ConfigError(f"component {spec}: {exc}") from None
 
@@ -329,7 +340,7 @@ def _component_model(spec: dict) -> ComponentModel:
     if given != needed:
         raise ConfigError(f"{family.name} component {spec}: missing {sorted(needed - given)}, "
                           f"unexpected {sorted(given - needed)}")
-    return ComponentModel(family, **{key: float(spec[key]) for key in family.params})
+    return ComponentModel(family, **{key: _as_float(key, spec[key]) for key in family.params})
 
 
 def solve_identical_components(node: StructureNode, family, target_r: float, t: float):
@@ -402,8 +413,8 @@ def default_t_grid(t: float, points: int = 50, decades: float = 1.0) -> np.ndarr
 
 def _check_t_grid(t_grid) -> np.ndarray:
     """``t_grid`` as a float array, refused unless it holds 2 or more increasing mission times."""
-    t_grid = mission_times(t_grid)
-    if t_grid.ndim != 1 or t_grid.size < 2:
+    t_grid = mission_grid(t_grid)
+    if t_grid.size < 2:
         raise ValueError("t_grid needs at least 2 points")
     if np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")

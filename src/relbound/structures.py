@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence, Union
 
 import numpy as np
@@ -36,7 +37,6 @@ __all__ = [
     "StructureNode",
     "parse_structure",
     "num_components",
-    "component_counts",
     "eval_structure",
     "eval_reliability",
     "eval_reliability_bruteforce",
@@ -72,35 +72,19 @@ class KOutOfN:
 StructureNode = Union[ComponentRef, Series, Parallel, KOutOfN]
 
 
-def _validate(node: StructureNode) -> None:
+def _leaves(node: StructureNode) -> list:
+    """Check ``node`` and every node below it; the leaf indices, left to right."""
     if isinstance(node, ComponentRef):
         if node.index < 0:
             raise StructureError(f"component index must be >= 0, got {node.index}")
-        return
-    if isinstance(node, (Series, Parallel, KOutOfN)):
-        if not node.children:
-            raise StructureError(f"{type(node).__name__} node has no children")
-        if isinstance(node, KOutOfN) and not 1 <= node.k <= len(node.children):
-            raise StructureError(
-                f"k={node.k} out of range for {len(node.children)} children"
-            )
-        for child in node.children:
-            _validate(child)
-        return
-    raise StructureError(f"not a structure node: {node!r}")
-
-
-def component_counts(node: StructureNode) -> Counter:
-    """Occurrences of each component index among the leaves."""
-    counts: Counter = Counter()
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, ComponentRef):
-            counts[cur.index] += 1
-        else:
-            stack.extend(cur.children)
-    return counts
+        return [node.index]
+    if not isinstance(node, (Series, Parallel, KOutOfN)):
+        raise StructureError(f"not a structure node: {node!r}")
+    if not node.children:
+        raise StructureError(f"{type(node).__name__} node has no children")
+    if isinstance(node, KOutOfN) and not 1 <= node.k <= len(node.children):
+        raise StructureError(f"k={node.k} out of range for {len(node.children)} children")
+    return [index for child in node.children for index in _leaves(child)]
 
 
 def num_components(node: StructureNode) -> int:
@@ -110,11 +94,13 @@ def num_components(node: StructureNode) -> int:
     component to be relevant, and the recursive structure function is exact
     only when sibling subtrees share no component.
     """
-    _validate(node)
-    counts = component_counts(node)
+    counts = Counter(_leaves(node))
     s = max(counts) + 1
-    missing = [i for i in range(s) if i not in counts]
-    if missing:
+    gaps = s - len(counts)
+    if gaps:
+        # the first 10 gaps lie among the first len(counts) + 10 ids
+        first = list(islice((i for i in range(s) if i not in counts), 10))
+        missing = first if gaps <= 10 else f"{gaps} ids, first {first}"
         raise StructureError(
             f"component ids must cover 0..{s - 1}; missing {missing} "
             f"(every component must be relevant)"
@@ -135,7 +121,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<punct>[(),;])"
 )
 
-_ELLIPSIS = object()
+_NODES = {"series": Series, "parallel": Parallel, "koutofn": KOutOfN}
 
 
 def _tokenize(text: str):
@@ -152,109 +138,85 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _expect(tokens, i, kind, value=None):
+    """Token ``i``, refused unless it is a ``kind`` token (reading ``value``, if given)."""
+    tok = tokens[i]
+    if tok[0] != kind or (value is not None and tok[1] != value):
+        want = value if value is not None else kind
+        raise StructureParseError(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2])
+    return tok
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind, value=None):
-        tok = self.advance()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value if value is not None else kind
-            raise StructureParseError(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        return tok
-
-    def parse(self) -> StructureNode:
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise StructureParseError(f"trailing input {tok[1]!r}", tok[2])
-        return node
-
-    def expr(self) -> StructureNode:
-        kind, value, pos = self.advance()
-        if kind == "name":
-            if value == "series":
-                return Series(tuple(self.arg_list()))
-            if value == "parallel":
-                return Parallel(tuple(self.arg_list()))
-            if value == "koutofn":
-                self.expect("punct", "(")
-                k_tok = self.expect("int")
-                self.expect("punct", ";")
-                children = tuple(self.items_until_close())
-                node = KOutOfN(int(k_tok[1]), children)
-                if not 1 <= node.k <= len(children):
-                    raise StructureParseError(
-                        f"k={node.k} out of range for {len(children)} children", k_tok[2]
-                    )
-                return node
-            comp = re.fullmatch(r"c(\d+)", value)
-            if comp:
-                number = int(comp.group(1))
-                if number < 1:
-                    raise StructureParseError("component numbers are 1-based", pos)
-                return ComponentRef(number - 1)
-            raise StructureParseError(f"unknown token {value!r}", pos)
+def _expr(tokens, i):
+    """The expression that starts at token ``i``, and the index of the token after it."""
+    kind, value, pos = tokens[i]
+    if kind != "name":
         raise StructureParseError(f"expected an expression, found {value or 'end of input'!r}", pos)
+    node_type = _NODES.get(value)
+    if node_type is None:
+        comp = re.fullmatch(r"c(\d+)", value)
+        if not comp:
+            raise StructureParseError(f"unknown token {value!r}", pos)
+        if int(comp.group(1)) < 1:
+            raise StructureParseError("component numbers are 1-based", pos)
+        return ComponentRef(int(comp.group(1)) - 1), i + 1
+    _expect(tokens, i + 1, "punct", "(")
+    if node_type is not KOutOfN:
+        children, i = _children(tokens, i + 2)
+        return node_type(children), i
+    k_tok = _expect(tokens, i + 2, "int")
+    _expect(tokens, i + 3, "punct", ";")
+    children, i = _children(tokens, i + 4)
+    k = int(k_tok[1])
+    if not 1 <= k <= len(children):
+        raise StructureParseError(f"k={k} out of range for {len(children)} children", k_tok[2])
+    return KOutOfN(k, children), i
 
-    def arg_list(self):
-        self.expect("punct", "(")
-        return self.items_until_close()
 
-    def items_until_close(self):
-        items = []
-        positions = []
-        first = self.peek()
-        if first[0] == "punct" and first[1] == ")":
-            raise StructureParseError("empty children list", first[2])
-        while True:
-            tok = self.peek()
-            if tok[0] == "ellipsis":
-                self.advance()
-                items.append(_ELLIPSIS)
-                positions.append(tok[2])
-            else:
-                items.append(self.expr())
-                positions.append(tok[2])
-            kind, value, pos = self.advance()
-            if kind == "punct" and value == ")":
-                break
-            if not (kind == "punct" and value == ","):
-                raise StructureParseError(f"expected ',' or ')', found {value or 'end of input'!r}", pos)
-        return self._expand_ellipsis(items, positions)
+def _children(tokens, i):
+    """The children from token ``i`` to the closing ``)``, and the index after it.
 
-    @staticmethod
-    def _expand_ellipsis(items, positions):
-        out = []
-        for idx, item in enumerate(items):
-            if item is not _ELLIPSIS:
-                out.append(item)
-                continue
-            pos = positions[idx]
-            if idx == 0 or idx == len(items) - 1:
-                raise StructureParseError("'...' needs a component on both sides", pos)
-            prev, nxt = items[idx - 1], items[idx + 1]
-            if not (isinstance(prev, ComponentRef) and isinstance(nxt, ComponentRef)):
-                raise StructureParseError("'...' may only run between component references", pos)
-            if prev.index >= nxt.index:
-                raise StructureParseError("'...' range must be increasing", pos)
-            out.extend(ComponentRef(i) for i in range(prev.index + 1, nxt.index))
-        return out
+    Each ``...`` stays in the item list as its position until the ``)`` is
+    read, and is then expanded to the components between its neighbours.
+    """
+    if tokens[i][:2] == ("punct", ")"):
+        raise StructureParseError("empty children list", tokens[i][2])
+    items = []
+    while True:
+        if tokens[i][0] == "ellipsis":
+            items.append(tokens[i][2])
+            i += 1
+        else:
+            node, i = _expr(tokens, i)
+            items.append(node)
+        kind, value, pos = tokens[i]
+        i += 1
+        if (kind, value) == ("punct", ")"):
+            break
+        if (kind, value) != ("punct", ","):
+            raise StructureParseError(f"expected ',' or ')', found {value or 'end of input'!r}", pos)
+    children = []
+    for j, item in enumerate(items):
+        if not isinstance(item, int):
+            children.append(item)
+            continue
+        if j == 0 or j == len(items) - 1:
+            raise StructureParseError("'...' needs a component on both sides", item)
+        prev, nxt = items[j - 1], items[j + 1]
+        if not (isinstance(prev, ComponentRef) and isinstance(nxt, ComponentRef)):
+            raise StructureParseError("'...' may only run between component references", item)
+        if prev.index >= nxt.index:
+            raise StructureParseError("'...' range must be increasing", item)
+        children.extend(ComponentRef(c) for c in range(prev.index + 1, nxt.index))
+    return tuple(children), i
 
 
 def parse_structure(text: str) -> StructureNode:
     """Parse a structure expression and validate the resulting tree."""
-    node = _Parser(text).parse()
+    tokens = _tokenize(text)
+    node, i = _expr(tokens, 0)
+    if tokens[i][0] != "eof":
+        raise StructureParseError(f"trailing input {tokens[i][1]!r}", tokens[i][2])
     num_components(node)
     return node
 
@@ -298,6 +260,7 @@ def eval_structure(node: StructureNode, r: Sequence) -> "np.ndarray | float":
 
 
 def _check_reliabilities(node: StructureNode, r) -> list:
+    """Validate the tree and every value of ``r``; the values of its ``s`` components."""
     s = num_components(node)
     values = [np.asarray(v, dtype=float) for v in r]
     if len(values) < s:
@@ -305,7 +268,7 @@ def _check_reliabilities(node: StructureNode, r) -> list:
     for i, v in enumerate(values):
         if not np.all((v >= 0.0) & (v <= 1.0)):
             raise ValueError(f"reliability of component {i} outside [0, 1]")
-    return values
+    return values[:s]
 
 
 def eval_reliability(node: StructureNode, r) -> "float | np.ndarray":
@@ -328,10 +291,10 @@ def eval_reliability_bruteforce(node: StructureNode, r) -> float:
     state vector by boolean logic, then weighted by the state probability.
     """
     values = _check_reliabilities(node, r)
-    s = num_components(node)
+    s = len(values)
     if s > 20:
         raise StructureError(f"brute force limited to s <= 20 components, got {s}")
-    probs = np.array([float(v) for v in values[:s]])
+    probs = np.array([float(v) for v in values])
     states = (np.arange(2 ** s)[:, None] >> np.arange(s)[None, :]) & 1
 
     def works(sub: StructureNode) -> np.ndarray:
@@ -354,9 +317,8 @@ def structure_partials(node: StructureNode, r) -> np.ndarray:
     psi is multilinear in each r_i, as every component appears exactly once
     in the tree, making ``psi(r_i := 1) - psi(r_i := 0)`` the exact partial.
     """
-    values = _check_reliabilities(node, r)
-    s = num_components(node)
-    base = [float(v) for v in values[:s]]
+    base = [float(v) for v in _check_reliabilities(node, r)]
+    s = len(base)
     partials = np.empty(s)
     for i in range(s):
         hi = list(base)

@@ -28,7 +28,7 @@ from relbound.distributions import (
     sample_lifetimes,
 )
 from relbound.errors import DegenerateSampleError, EstimationError
-from relbound.estimators import moment_estimate
+from relbound.estimators import delta_curve, moment_estimate
 from relbound.rng import child_seedseq, generator
 from relbound.selection import ceil_div, ceil_index, kth_smallest
 from relbound.simulation import compute_lcl, default_t_grid, lcl_curve
@@ -504,6 +504,16 @@ class TestBootstrapCurve:
         for grid in ([], [[1.0, 2.0]], [1.0, 0.0]):
             with pytest.raises(ValueError):
                 bootstrap_curve("bp", SERIES3, [WEIBULL] * 3, data, grid, 0.1, 200, 50, 4)
+
+    @pytest.mark.parametrize("grid", [np.ones((2, 2)), 1.5, []], ids=["2-D", "scalar", "empty"])
+    @pytest.mark.parametrize("curve", [
+        lambda data, grid: bootstrap_curve("bp", SERIES3, [WEIBULL] * 3, data, grid, 0.1, 200),
+        lambda data, grid: delta_curve(SERIES3, [WEIBULL] * 3, data, grid, 0.1),
+    ], ids=["bootstrap_curve", "delta_curve"])
+    def test_both_curve_entries_refuse_the_same_grids(self, curve, grid):
+        data = make_data([ComponentModel(WEIBULL, mu=1.0, sigma=0.7)] * 3, 10, 2)
+        with pytest.raises(ValueError, match="t_grid must be a non-empty 1-D array"):
+            curve(data, grid)
 
 
 class TestDbptRanks:

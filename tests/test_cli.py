@@ -145,6 +145,20 @@ class TestLclCommand:
         assert main([command, str(bad), "--B", "20"]) == 2
         assert "component" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("times, shown", [
+        ("1 2 3", "'1 2 3'"), ([[1, 2], [3, 4]], "[1, 2]"), ([True, 2, 3, 4], "True"),
+        ([1, "2", 3, 4], "'2'"),
+    ], ids=["string", "nested", "flag-entry", "string-entry"])
+    def test_inline_times_not_a_flat_list_of_numbers_exit_2(self, tmp_path, capsys,
+                                                            times, shown):
+        bad = tmp_path / "times.json"
+        bad.write_text(json.dumps({"structure": "series(c1)", "t": 1.0, "method": "bp",
+                                   "components": [{"id": "c1", "family": "weibull",
+                                                   "times": times}]}))
+        assert main(["lcl", str(bad), "--B", "20"]) == 2
+        assert f"component c1: times must be a list of numbers, got {shown}" in (
+            capsys.readouterr().err)
+
     @pytest.mark.parametrize("edit, code", [
         (lambda raw: raw.update(B=20.7), 4),
         (lambda raw: raw.update(seed="7"), 4),

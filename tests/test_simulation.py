@@ -160,6 +160,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown family"):
             small_config(family="gamma")
 
+    @pytest.mark.parametrize("family", [5, ["weibull"]])
+    def test_target_family_must_be_a_name(self, family):
+        with pytest.raises(ValueError, match="unknown family"):
+            small_config(family=family)
+
+    @pytest.mark.parametrize("params", [{"mu": True, "sigma": 1.5}, {"mu": 0, "sigma": "1.5"}])
+    def test_component_parameters_are_checked_not_coerced(self, params):
+        raw = {"structure": "series(c1)", "t": 1.0, "n": [5], "methods": ["bp"],
+               "components": [{"family": "weibull", **params}]}
+        with pytest.raises(ValueError, match="must be a number"):
+            StudyConfig.from_dict(raw)
+        # an accepted value is echoed as given
+        accepted = {"family": "weibull", "mu": 0, "sigma": 1.5}
+        echo = StudyConfig.from_dict({**raw, "components": [accepted]}).to_dict()
+        assert json.dumps(echo["components"]) == json.dumps([accepted])
+
     def test_component_count_checked_when_built(self):
         with pytest.raises(ConfigError, match="references 2 components"):
             small_config(family=None, target_reliability=None,

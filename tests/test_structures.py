@@ -79,6 +79,63 @@ class TestParse:
         with pytest.raises(StructureParseError):
             parse_structure("series(c3,...,c1)")
 
+    @pytest.mark.parametrize("text, message, position", [
+        ("series(...,c2)", "'...' needs a component on both sides", 7),
+        ("series(c1,...)", "'...' needs a component on both sides", 10),
+        ("series(c1,...,c3,...)", "'...' needs a component on both sides", 17),
+        ("series(c1,...,parallel(c2,c3))", "'...' may only run between component references", 10),
+        ("series(c1,...,...,c3)", "'...' may only run between component references", 10),
+        ("series(c3,...,c1)", "'...' range must be increasing", 10),
+        ("series(c1,...,c1)", "'...' range must be increasing", 10),
+        ("series(c0)", "component numbers are 1-based", 7),
+        ("sries(c1)", "unknown token 'sries'", 0),
+        ("koutofn(1 c1)", "expected ';', found 'c1'", 10),
+        ("koutofn(c1)", "expected 'int', found 'c1'", 8),
+        ("series c1", "expected '(', found 'c1'", 7),
+        ("koutofn(3; c1,c2)", "k=3 out of range for 2 children", 8),
+        ("series()", "empty children list", 7),
+        ("series(c1 c2)", "expected ',' or ')', found 'c2'", 10),
+        ("series(c1) c2", "trailing input 'c2'", 11),
+        ("series(c1,c2", "expected ',' or ')', found 'end of input'", 12),
+        ("series(", "expected an expression, found 'end of input'", 7),
+        ("", "expected an expression, found 'end of input'", 0),
+        ("series(c1,$)", "unexpected character '$'", 10),
+    ])
+    def test_refusal_message_and_position(self, text, message, position):
+        with pytest.raises(StructureParseError) as err:
+            parse_structure(text)
+        assert (str(err.value), err.value.position) == (
+            f"{message} (at position {position})", position)
+
+    def test_rendered_random_trees_parse_back(self):
+        def render(node):
+            if isinstance(node, ComponentRef):
+                return f"c{node.index + 1}"
+            inner = ", ".join(render(child) for child in node.children)
+            if isinstance(node, KOutOfN):
+                return f"koutofn({node.k}; {inner})"
+            return f"{type(node).__name__.lower()}({inner})"
+
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            node = random_tree(rng, int(rng.integers(1, 40)))
+            assert parse_structure(render(node)) == node
+
+    @pytest.mark.parametrize("text, top, missing", [
+        ("series(c1,c3)", 2, "[1]"),
+        ("series(c1,c12)", 11, "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+        ("series(c1,c13)", 12, "11 ids, first [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+        ("series(c2,c5,c200)", 199, "197 ids, first [0, 2, 3, 5, 6, 7, 8, 9, 10, 11]"),
+        ("series(c1,c3000000000)", 2999999999,
+         "2999999998 ids, first [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+    ])
+    def test_missing_ids_named_up_to_ten(self, text, top, missing):
+        # the check never enumerates a huge id range
+        with pytest.raises(StructureError) as err:
+            parse_structure(text)
+        assert str(err.value) == (f"component ids must cover 0..{top}; missing {missing} "
+                                  "(every component must be relevant)")
+
 
 class TestEval:
     def test_series_product(self):
