@@ -281,13 +281,13 @@ def _resampled_fits(family, params, n, rows, rng, n_tilde):
     dataset is Type-II censored and imputed first.
     """
     try:
-        x = sample_lifetimes(ComponentModel(family, **params), (rows, n), rng)
-        if n_tilde is not None:
-            x = np.stack([impute(family, type2_censor(row, n_tilde)) for row in x])
-        return moment_estimate(family, x)
-    except ValueError as exc:
-        # extreme parameters can draw times of 0 or inf, which no fit accepts
+        model = ComponentModel(family, **params)
+    except ValueError as exc:  # a fitted rate of 0, from a time on test that overflowed
         raise EstimationError(f"resampled dataset refused: {exc}") from None
+    x = sample_lifetimes(model, (rows, n), rng)
+    if n_tilde is not None:
+        x = np.stack([impute(family, type2_censor(row, n_tilde)) for row in x])
+    return moment_estimate(family, x)
 
 
 def _nested(structure, comps, t, r_hat, alpha, B, C, rng, recensor_n_tilde=None) -> _Outcome:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .distributions import Exponential, LifetimeFamily, LogNormal
+from .distributions import Exponential, LifetimeFamily, LogNormal, censoring_flags, failure_times
 from .errors import EstimationError
 from .estimators import mle_fit
 from .selection import ceil_index
@@ -38,12 +38,8 @@ class CensoredDataset:
     censored: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        mask = np.asarray(self.censored).astype(bool)
-        if times.ndim != 1 or times.shape != mask.shape or times.size == 0:
-            raise ValueError("times and censoring indicators must be aligned 1-D arrays")
-        if not np.all(np.isfinite(times)) or not np.all(times > 0.0):
-            raise ValueError("times must be finite and > 0")
+        times = failure_times(self.times)
+        mask = censoring_flags(self.censored, times.size)
         if mask.all():
             raise ValueError("need at least one observed failure")
         if mask.any():
@@ -55,10 +51,6 @@ class CensoredDataset:
                 )
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "censored", mask)
-
-    @property
-    def n(self) -> int:
-        return self.times.size
 
     @property
     def n_observed(self) -> int:
@@ -112,7 +104,8 @@ def impute(family: LifetimeFamily, censored: CensoredDataset,
     (``mode="mean"``), or with equally spaced conditional exceedance
     quantiles (``mode="quantile"``) for sensitivity studies.  Imputed values
     strictly exceed the censoring time; a dataset without censored rows is
-    returned unchanged.
+    returned unchanged.  Imputed times that ``failure_times`` refuses, such
+    as an overflow to inf, raise ``EstimationError``.
     """
     if mode not in IMPUTE_MODES:
         raise ValueError(f"mode must be one of {list(IMPUTE_MODES)}")
@@ -120,8 +113,6 @@ def impute(family: LifetimeFamily, censored: CensoredDataset,
     mask = censored.censored
     if not mask.any():
         return times.copy()
-    if censored.n_observed < 2 and not isinstance(family, Exponential):
-        raise EstimationError("imputation needs at least two observed failures")
     fit = mle_fit(family, times, mask)
     out = times.copy()
     x_c = float(times[mask][0])
@@ -133,14 +124,18 @@ def impute(family: LifetimeFamily, censored: CensoredDataset,
         else:
             q = (np.arange(1, c + 1)) / (c + 1.0)
             out[mask] = x_c - np.log1p(-q) / fit.rate_hat
-        return out
-    a = (math.log(x_c) - fit.mu_hat) / fit.sigma_hat
-    if mode == "mean":
-        z = np.full(c, _conditional_mean_exceedance(family, a))
     else:
-        q = np.arange(1, c + 1) / (c + 1.0)
-        tail = float(family.sf(np.asarray(a)))
-        z = family.quantile(1.0 - tail * (1.0 - q))
-    out[mask] = np.exp(fit.mu_hat + fit.sigma_hat * np.asarray(z))
-    return out
+        a = (math.log(x_c) - fit.mu_hat) / fit.sigma_hat
+        if mode == "mean":
+            z = np.full(c, _conditional_mean_exceedance(family, a))
+        else:
+            q = np.arange(1, c + 1) / (c + 1.0)
+            tail = float(family.sf(np.asarray(a)))
+            z = family.quantile(1.0 - tail * (1.0 - q))
+        out[mask] = np.exp(fit.mu_hat + fit.sigma_hat * np.asarray(z))
+    try:
+        return failure_times(out)
+    except ValueError as exc:
+        # a censoring time near the float limit can impute times past it
+        raise EstimationError(f"imputed dataset refused: {exc}") from None
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .censoring import CensoredDataset, impute
-from .distributions import family_from_name
+from .distributions import censoring_flags, family_from_name
 from .errors import (
     ConfigError,
     DegenerateSampleError,
@@ -143,15 +143,15 @@ def _read_times_csv(path: Path):
             flags.append(float(row[1]) if has_flag and len(row) > 1 else 0)
         except ValueError as exc:
             raise ConfigError(f"{path}: bad row {row!r}") from exc
-    return np.asarray(times), _censored_mask(flags, path)
+    return np.asarray(times), _censored_mask(flags, len(times), path)
 
 
-def _censored_mask(flags, where) -> np.ndarray:
-    """A component's censored flags as a mask; each flag is 0 or 1 (in JSON, also false or true)."""
-    bad = [f for f in flags if f not in (0, 1)] if isinstance(flags, list) else [flags]
-    if bad:
-        raise ConfigError(f"{where}: censored flags must be 0 or 1, got {bad[0]!r}")
-    return np.array(flags, dtype=bool)
+def _censored_mask(flags, n: int, where) -> np.ndarray:
+    """``censoring_flags`` of a component's flags, with a refusal as a ConfigError."""
+    try:
+        return censoring_flags(flags, n)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _load_record(cls, path: str, args, defaults=None, **given):
@@ -179,11 +179,9 @@ def _load_request(args):
     for spec in request.components:
         if "times" in spec:
             x = np.asarray(spec["times"], dtype=float)
-            mask = _censored_mask(spec.get("censored", [0] * x.size), f"component {spec['id']}")
+            mask = _censored_mask(spec.get("censored"), x.size, f"component {spec['id']}")
         else:
             x, mask = _read_times_csv(Path(args.request).parent / spec["data_file"])
-        if mask.shape != x.shape:
-            raise ConfigError(f"component {spec['id']}: censored flags must align with times")
         times.append(x)
         flags.append(mask)
     if request.method in DELTA_METHODS:

@@ -44,6 +44,8 @@ __all__ = [
     "family_from_name",
     "ComponentModel",
     "component_reliability",
+    "censoring_flags",
+    "failure_times",
     "mission_grid",
     "mission_times",
     "sample_lifetimes",
@@ -311,6 +313,36 @@ def mission_grid(t_grid) -> np.ndarray:
     return t_grid
 
 
+def failure_times(data, ndim: int = 1) -> np.ndarray:
+    """Failure times as a float array, 1-D or with ``ndim=2`` also (rows, n); each positive and finite."""
+    times = np.asarray(data, dtype=float)
+    if times.ndim not in (1, ndim) or times.size == 0:
+        raise ValueError("data must be a non-empty 1-D array of failure times"
+                         + (", or a 2-D array of rows" if ndim == 2 else ""))
+    if not ((times > 0.0) & (times < math.inf)).all():
+        raise ValueError("failure times must be finite and > 0")
+    return times
+
+
+def censoring_flags(flags, n: int) -> np.ndarray:
+    """Censoring flags as a mask of ``n`` rows, True marking a censored unit.
+
+    Each flag is 0 or 1 (or a bool); ``None`` means that no unit is censored.
+    """
+    if flags is None:
+        return np.zeros(n, dtype=bool)
+    mask = np.asarray(flags)
+    if mask.dtype.kind not in "biuf":
+        mask = np.asarray(flags, dtype=object)  # each flag compared as given
+    good = (mask == 0) | (mask == 1)
+    if not good.all():
+        raise ValueError(f"censored flags must be 0 or 1, got {mask[~good].tolist()[0]!r}")
+    if mask.shape != (n,):
+        raise ValueError(f"censored flags must align with the {n} failure times, "
+                         f"got shape {mask.shape}")
+    return mask.astype(bool)
+
+
 def component_reliability(model, t) -> "float | np.ndarray":
     """P(T > t) for the component: ``family.reliability`` of its scale value at ``t``.
 
@@ -328,15 +360,21 @@ def sample_lifetimes(model: ComponentModel, n, rng=None) -> np.ndarray:
     """Draw ``n`` failure times from the model; ``n`` is a count or a shape.
 
     A shape such as ``(rows, n)`` draws the same values, in C order, as one
-    call for their total count.
+    call for their total count.  Draws that ``failure_times`` refuses, a time
+    of 0 or inf, raise ``EstimationError``.
     """
     if np.any(np.asarray(n) < 1):
         raise ValueError("need n >= 1")
     rng = generator(rng)
     if isinstance(model.family, Exponential):
-        return rng.standard_exponential(n) / model.rate
-    z = model.family.sample_standardized(n, rng)
-    return np.exp(model.mu + model.sigma * z)
+        draws = rng.standard_exponential(n) / model.rate
+    else:
+        draws = np.exp(model.mu + model.sigma * model.family.sample_standardized(n, rng))
+    try:
+        return failure_times(draws, ndim=2)
+    except ValueError as exc:
+        # extreme parameters can draw times of 0 or inf, which no fit accepts
+        raise EstimationError(f"sampled dataset refused: {exc}") from None
 
 
 def time_at_reliability(model: ComponentModel, r: float) -> float:

@@ -20,13 +20,14 @@ from scipy.optimize import minimize
 from scipy.special import log_ndtr, ndtri
 
 from .distributions import (
-    ComponentModel,
     EULER_GAMMA,
     Exponential,
     LifetimeFamily,
     LogNormal,
     Weibull,
+    censoring_flags,
     component_reliability,
+    failure_times,
     mission_grid,
 )
 from .errors import DegenerateSampleError, EstimationError
@@ -65,9 +66,6 @@ class MomentEstimate:
         """The estimates by parameter name, in the order of ``family.params``."""
         return {name: getattr(self, f"{name}_hat") for name in self.family.params}
 
-    def model(self) -> ComponentModel:
-        return ComponentModel(self.family, **self.params)
-
     def summary(self, estimator: str = "moment") -> dict:
         return {"family": self.family.name, "estimator": estimator, "n": self.n,
                 **{f"{name}_hat": value for name, value in self.params.items()}}
@@ -80,17 +78,6 @@ class MleEstimate(MomentEstimate):
         return super().summary(estimator)
 
 
-def _as_times(data, ndim: int = 1) -> np.ndarray:
-    """Failure times as a float array: 1-D, or with ``ndim=2`` also (rows, n)."""
-    times = np.asarray(data, dtype=float)
-    if times.ndim not in (1, ndim) or times.size == 0:
-        raise ValueError("data must be a non-empty 1-D array of failure times"
-                         + (", or a 2-D array of rows" if ndim == 2 else ""))
-    if not np.all(np.isfinite(times)) or not np.all(times > 0.0):
-        raise ValueError("failure times must be finite and > 0")
-    return times
-
-
 def moment_estimate(family: LifetimeFamily, data) -> MomentEstimate:
     """Moment-based fit: sigma = s/kappa2 and mu = xbar - kappa1*sigma on log times.
 
@@ -99,7 +86,7 @@ def moment_estimate(family: LifetimeFamily, data) -> MomentEstimate:
     by row along its last axis, by the same arithmetic, and each estimate
     is then a (rows,) array; a 1-D dataset gives floats.
     """
-    times = _as_times(data, ndim=2)
+    times = failure_times(data, ndim=2)
     n = times.shape[-1]
     if isinstance(family, Exponential):
         return MomentEstimate(family, n, rate_hat=_unwrap(n / times.sum(axis=-1)))
@@ -148,8 +135,8 @@ def loglik(family: LifetimeFamily, params, times, censored_mask=None) -> float:
     survival probability at their censoring time.  ``params`` is (mu, sigma)
     for two-parameter families and the rate for exponentials.
     """
-    times = _as_times(times)
-    mask = _as_mask(censored_mask, times.size)
+    times = failure_times(times)
+    mask = censoring_flags(censored_mask, times.size)
     if isinstance(family, Exponential):
         rate = float(params[0]) if np.ndim(params) else float(params)
         if rate <= 0:
@@ -168,15 +155,6 @@ def loglik(family: LifetimeFamily, params, times, censored_mask=None) -> float:
     if np.any(mask):
         total += float(np.sum(_log_sf(family, z[mask])))
     return total
-
-
-def _as_mask(censored_mask, n: int) -> np.ndarray:
-    if censored_mask is None:
-        return np.zeros(n, dtype=bool)
-    mask = np.asarray(censored_mask).astype(bool)
-    if mask.shape != (n,):
-        raise ValueError("censoring indicators must align with the data")
-    return mask
 
 
 # --- maximum likelihood ----------------------------------------------------
@@ -272,13 +250,16 @@ def mle_fit(family: LifetimeFamily, data, censored_mask=None) -> MleEstimate:
     at most 100 iterations) with a numeric fallback; exponential data give
     rate = failures / total time on test.
     """
-    times = _as_times(data)
-    mask = _as_mask(censored_mask, times.size)
+    times = failure_times(data)
+    mask = censoring_flags(censored_mask, times.size)
     d = int((~mask).sum())
     if isinstance(family, Exponential):
         if d < 1:
             raise EstimationError("exponential MLE needs at least one failure")
-        return MleEstimate(family, times.size, rate_hat=d / float(times.sum()))
+        total = float(times.sum())
+        if total == math.inf:
+            raise EstimationError("exponential MLE: the total time on test overflows")
+        return MleEstimate(family, times.size, rate_hat=d / total)
     if d < 2:
         raise EstimationError("two-parameter MLE needs >= 2 uncensored observations")
     if isinstance(family, LogNormal) and not mask.any():
@@ -334,40 +315,42 @@ def _generic_unit_information(family: LifetimeFamily) -> np.ndarray:
     return np.array([[a11, a12], [a12, a22]])
 
 
-def fisher_information(family: LifetimeFamily, model: ComponentModel, n: int) -> np.ndarray:
+def fisher_information(fit, n: int) -> np.ndarray:
     """Expected information for an n-observation sample, in (mu, sigma) order.
 
-    Exponential models give the 1x1 matrix n / rate^2.  Generic families are
-    integrated numerically (score outer products, relative tolerance 1e-8).
+    ``fit`` is a :class:`ComponentModel` or an estimate, read through its
+    ``family`` and ``params``.  Exponential fits give the 1x1 matrix
+    n / rate^2.  Generic families are integrated numerically (score outer
+    products, relative tolerance 1e-8).
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    family, params = fit.family, fit.params
     if isinstance(family, Exponential):
-        return np.array([[n / model.rate ** 2]])
-    sigma = model.sigma
-    if isinstance(family, LogNormal):
-        info = n / sigma ** 2 * np.array([[1.0, 0.0], [0.0, 2.0]])
+        with np.errstate(over="ignore", divide="ignore"):  # a rate this far out is refused
+            info = np.array([[n / np.float64(params["rate"]) ** 2]])
+    elif isinstance(family, LogNormal):
+        info = n / params["sigma"] ** 2 * np.array([[1.0, 0.0], [0.0, 2.0]])
     elif isinstance(family, Weibull):
-        info = n / sigma ** 2 * np.array([[_SEV_I11, _SEV_I12], [_SEV_I12, _SEV_I22]])
+        info = n / params["sigma"] ** 2 * np.array([[_SEV_I11, _SEV_I12], [_SEV_I12, _SEV_I22]])
     else:
-        info = n / sigma ** 2 * _generic_unit_information(family)
+        info = n / params["sigma"] ** 2 * _generic_unit_information(family)
     _require_nonsingular(info)
     return info
 
 
-def observed_information(family: LifetimeFamily, estimate: MomentEstimate,
-                         times, censored_mask=None) -> np.ndarray:
+def observed_information(estimate: MomentEstimate, times, censored_mask=None) -> np.ndarray:
     """Observed information: minus the numerical Hessian of the log likelihood.
 
     Central differences with relative step 1e-5, evaluated at the fitted
     parameters.  This is the information used by the censored delta method.
     """
-    times = _as_times(times)
-    mask = _as_mask(censored_mask, times.size)
+    times = failure_times(times)
+    mask = censoring_flags(censored_mask, times.size)
     theta = np.array(list(estimate.params.values()))
 
     def f(th):
-        return loglik(family, th, times, mask)
+        return loglik(estimate.family, th, times, mask)
 
     p = theta.size
     h = 1e-5 * np.maximum(1.0, np.abs(theta))
@@ -402,13 +385,13 @@ def _require_nonsingular(info: np.ndarray) -> None:
 # --- delta method ----------------------------------------------------------
 
 
-def _reliability_gradient(family, estimate, t) -> np.ndarray:
+def _reliability_gradient(estimate, t) -> np.ndarray:
     """Gradient of the component reliability w.r.t. the fitted parameters."""
-    if isinstance(family, Exponential):
+    if isinstance(estimate.family, Exponential):
         lam = estimate.rate_hat
         return np.array([-t * math.exp(-lam * t)])
     w = (math.log(t) - estimate.mu_hat) / estimate.sigma_hat
-    dens = float(family.pdf(np.asarray(w)))
+    dens = float(estimate.family.pdf(np.asarray(w)))
     return np.array([dens / estimate.sigma_hat, dens * w / estimate.sigma_hat])
 
 
@@ -416,12 +399,11 @@ def _delta_fit(families, datasets, censored_masks=None):
     masks = censored_masks if censored_masks is not None else [None] * len(families)
     fitted = []
     for family, data, mask in zip(families, datasets, masks):
-        times = _as_times(data)
+        times = failure_times(data)
+        mask = censoring_flags(mask, times.size)
         est = mle_fit(family, times, mask)
-        if mask is not None and np.any(np.asarray(mask, dtype=bool)):
-            info = observed_information(family, est, times, mask)
-        else:
-            info = fisher_information(family, est.model(), times.size)
+        info = (observed_information(est, times, mask) if mask.any()
+                else fisher_information(est, times.size))
         fitted.append((est, info))
     return fitted
 
@@ -432,7 +414,7 @@ def _delta_raw(structure, fitted, t, alpha, form) -> tuple:
     partials = structure_partials(structure, r_hats)
     var = 0.0
     for i, (est, info) in enumerate(fitted):
-        grad = partials[i] * _reliability_gradient(est.family, est, t)
+        grad = partials[i] * _reliability_gradient(est, t)
         try:
             var += float(grad @ np.linalg.solve(info, grad))
         except np.linalg.LinAlgError:

@@ -34,7 +34,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import brentq
@@ -168,7 +168,8 @@ class StudyConfig:
     bend-back fields as the ``bend_back`` group.  Building a config, directly
     or through :meth:`from_dict`, normalises the values to the field types
     and refuses the settings every replication would reject (see README),
-    among them those ``check_lcl_settings`` refuses for any of its methods.
+    among them those ``check_lcl_settings`` refuses for any of its methods
+    and those the study's setup refuses as it is built.
     """
 
     structure: str
@@ -215,35 +216,13 @@ class StudyConfig:
             raise ValueError(
                 "give either explicit 'components' or 'family' + 'target_reliability'"
             )
-        s = num_components(parse_structure(self.structure))
-        if self.components is not None and len(self.components) != s:
-            raise ConfigError(f"structure references {s} components, "
-                              f"config lists {len(self.components)}")
-        for spec in self.components or ():
-            _component_model(spec)
-        if self.target_reliability is not None:
-            if self.family is None:
-                raise ValueError("target_reliability mode needs a 'family'")
-            family_from_name(self.family)
-            if not 0.0 < self.target_reliability < 1.0:
-                raise ValueError("target_reliability must lie inside (0, 1)")
-        if self.censoring_fraction is not None and not 0.0 <= self.censoring_fraction < 1.0:
-            raise ValueError("censoring_fraction must lie in [0, 1)")
         if self.impute_mode not in IMPUTE_MODES:
             raise ValueError(f"impute_mode must be one of {list(IMPUTE_MODES)}")
         if not 0.0 < self.lcl_quantile < 1.0:
             raise ValueError("lcl_quantile must lie inside (0, 1)")
-        if self.bend_back_points < 2:
-            raise ValueError("bend-back grid needs at least 2 points")
-        if self.bend_back:
-            try:
-                _check_t_grid(default_t_grid(self.t, self.bend_back_points,
-                                             self.bend_back_decades))
-            except ValueError as exc:
-                raise ValueError(f"bend-back grid of {self.bend_back_decades!r} decades: "
-                                 f"{exc}") from None
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        _study_setup(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StudyConfig":
@@ -351,13 +330,16 @@ def solve_identical_components(node: StructureNode, family, target_r: float, t: 
     place mu accordingly, exponentials solve the rate.
     """
     s = num_components(node)
-    if not 0.0 < target_r < 1.0:
-        raise ValueError("target reliability must lie inside (0, 1)")
 
-    def gap(r):
-        return eval_reliability(node, [r] * s) - target_r
+    def psi(r):
+        return eval_reliability(node, [r] * s)
 
-    r_star = brentq(gap, 1e-15, 1.0 - 1e-15, xtol=1e-15, rtol=8.881784197001252e-16)
+    # psi(lo) >= 0 and psi(hi) <= 1, so a target outside (0, 1) is out of reach too
+    lo, hi = 1e-15, 1.0 - 1e-15
+    if not psi(lo) < target_r < psi(hi):
+        raise ValueError(f"target reliability {target_r!r} is out of reach: identical "
+                         f"components give {psi(lo)!r} to {psi(hi)!r}")
+    r_star = brentq(lambda r: psi(r) - target_r, lo, hi, xtol=1e-15, rtol=8.881784197001252e-16)
     if isinstance(family, Exponential):
         model = ComponentModel(family, rate=-math.log(r_star) / t)
     else:
@@ -365,14 +347,43 @@ def solve_identical_components(node: StructureNode, family, target_r: float, t: 
     return [model] * s, r_star
 
 
-def _resolve_models(config: StudyConfig, node: StructureNode):
+class _Setup(NamedTuple):
+    """What every replication of a study shares."""
+
+    node: StructureNode
+    families: list
+    models: list
+    solved: Optional[list]  # the solved-components record, in target mode
+    grid: Optional[np.ndarray]  # the bend-back grid, with the scan
+    observed: Optional[list]  # the observed-failure count at each n, with censoring
+
+
+def _study_setup(config: StudyConfig) -> _Setup:
+    """The setup of a study; building it is also its config's check of these settings."""
+    node = parse_structure(config.structure)
     if config.components is not None:
+        s = num_components(node)
+        if len(config.components) != s:
+            raise ConfigError(f"structure references {s} components, "
+                              f"config lists {len(config.components)}")
         models = [_component_model(spec) for spec in config.components]
-        return [model.family for model in models], models, None
-    family = family_from_name(config.family)
-    models, r_star = solve_identical_components(node, family, config.target_reliability, config.t)
-    return ([family] * len(models), models,
-            [{"family": family.name, **models[0].params, "per_component_r": r_star}])
+        solved = None
+    else:
+        family = family_from_name(config.family)
+        models, r_star = solve_identical_components(node, family, config.target_reliability,
+                                                    config.t)
+        solved = [{"family": family.name, **models[0].params, "per_component_r": r_star}]
+    grid = observed = None
+    if config.bend_back:
+        try:
+            grid = _check_t_grid(default_t_grid(config.t, config.bend_back_points,
+                                                config.bend_back_decades))
+        except ValueError as exc:
+            raise ValueError(f"bend-back grid of {config.bend_back_decades!r} decades: "
+                             f"{exc}") from None
+    if config.censoring_fraction is not None:
+        observed = [censoring_count(n, config.censoring_fraction) for n in config.n_values]
+    return _Setup(node, [model.family for model in models], models, solved, grid, observed)
 
 
 # --- single-LCL dispatch and LCL-versus-time curves --------------------------
@@ -532,30 +543,30 @@ class CoverageReport:
         return lines
 
 
-def _one_replication(node, families, models, config: StudyConfig, ni, n, rep) -> dict:
+def _one_replication(setup: _Setup, config: StudyConfig, ni, n, rep) -> dict:
     """Each method's run on replication ``rep`` at size ``n``, by method.
 
     A run is ``(LclResult, ms, bend-back count)``, the count None without the
-    scan, or the RelboundError it raised as ``"Type: message"``.
+    scan, or the RelboundError it raised as ``"Type: message"``.  A refused
+    draw fails every method, a failed imputation the bootstrap ones.
     """
+    node, families, models, grid = setup.node, setup.families, setup.models, setup.grid
     rep_seed = child_seedseq(config.seed, ni, rep)
     s = len(models)
-    datasets = [sample_lifetimes(models[i], n, generator(rep_seed, 0, i)) for i in range(s)]
-    boot_data = delta_data = datasets
-    delta_masks = recensor = None
-    if config.censoring_fraction:
-        n_tilde = censoring_count(n, config.censoring_fraction)
-        censored = [type2_censor(d, n_tilde) for d in datasets]
-        delta_data = [cd.times for cd in censored]
-        delta_masks = [cd.censored for cd in censored]
-        recensor = [n_tilde] * s if config.reimpute_in_resamples else None
-        try:
+    delta_data = delta_masks = recensor = None
+    try:
+        boot_data = delta_data = [sample_lifetimes(models[i], n, generator(rep_seed, 0, i))
+                                  for i in range(s)]
+        if config.censoring_fraction:
+            n_tilde = setup.observed[ni]
+            censored = [type2_censor(d, n_tilde) for d in delta_data]
+            delta_data = [cd.times for cd in censored]
+            delta_masks = [cd.censored for cd in censored]
+            recensor = [n_tilde] * s if config.reimpute_in_resamples else None
             boot_data = [impute(families[i], censored[i], config.impute_mode) for i in range(s)]
-        except RelboundError as exc:
-            boot_data = exc  # fails each bootstrap method below
-
-    grid = (default_t_grid(config.t, config.bend_back_points, config.bend_back_decades)
-            if config.bend_back else None)
+    except RelboundError as exc:
+        boot_data = exc  # fails each method below that would run on it
+        delta_data = exc if delta_data is None else delta_data
 
     runs = {}
     for mi, method in enumerate(config.methods):
@@ -618,21 +629,19 @@ def run_coverage_study(config: StudyConfig) -> CoverageReport:
     that method's replication, not the study; aggregate statistics are
     computed over the successful replications of each (method, n) cell.
     """
-    node = parse_structure(config.structure)
-    families, models, solved = _resolve_models(config, node)
+    setup = _study_setup(config)
     r_true = float(eval_reliability(
-        node, [component_reliability(m, config.t) for m in models]))
+        setup.node, [component_reliability(m, config.t) for m in setup.models]))
 
     cells = []
     for ni, n in enumerate(config.n_values):
-        runs = _map_replications(
-            lambda rep: _one_replication(node, families, models, config, ni, n, rep),
-            config.replications, config.threads)
+        runs = _map_replications(lambda rep: _one_replication(setup, config, ni, n, rep),
+                                 config.replications, config.threads)
         cells += [_method_cell(config, method, n, [r[method] for r in runs], r_true)
                   for method in config.methods]
     return CoverageReport(
         config=config.to_dict(),
-        solved_components=solved,
+        solved_components=setup.solved,
         true_reliability=r_true,
         cells=tuple(cells),
     )
@@ -650,8 +659,7 @@ def runtime_scaling_probe(config: StudyConfig, repeats: int = 3) -> dict:
     """
     if len(config.n_values) < 2:
         raise ValueError("runtime probe needs at least two sample sizes")
-    node = parse_structure(config.structure)
-    families, models, _ = _resolve_models(config, node)
+    node, families, models = _study_setup(config)[:3]
     s = len(models)
 
     dbpt_ms, dbp_ms = [], []

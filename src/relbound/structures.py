@@ -15,6 +15,9 @@ Text grammar accepted by :func:`parse_structure`::
 
 Whitespace is ignored.  Inside an argument list, ``cA, ..., cB`` expands to
 the full run of consecutive components from cA to cB.
+
+A tree may nest at most ``MAX_DEPTH`` nodes deep, the leaves included, so
+that every recursive walk stays far inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import numpy as np
 from .errors import StructureError, StructureParseError
 
 __all__ = [
+    "MAX_DEPTH",
     "ComponentRef",
     "Series",
     "Parallel",
@@ -71,9 +75,13 @@ class KOutOfN:
 
 StructureNode = Union[ComponentRef, Series, Parallel, KOutOfN]
 
+MAX_DEPTH = 100
 
-def _leaves(node: StructureNode) -> list:
+
+def _leaves(node: StructureNode, depth: int = 1) -> list:
     """Check ``node`` and every node below it; the leaf indices, left to right."""
+    if depth > MAX_DEPTH:
+        raise StructureError(f"structure nested too deeply: more than {MAX_DEPTH} levels")
     if isinstance(node, ComponentRef):
         if node.index < 0:
             raise StructureError(f"component index must be >= 0, got {node.index}")
@@ -84,7 +92,7 @@ def _leaves(node: StructureNode) -> list:
         raise StructureError(f"{type(node).__name__} node has no children")
     if isinstance(node, KOutOfN) and not 1 <= node.k <= len(node.children):
         raise StructureError(f"k={node.k} out of range for {len(node.children)} children")
-    return [index for child in node.children for index in _leaves(child)]
+    return [index for child in node.children for index in _leaves(child, depth + 1)]
 
 
 def num_components(node: StructureNode) -> int:
@@ -147,36 +155,48 @@ def _expect(tokens, i, kind, value=None):
     return tok
 
 
-def _expr(tokens, i):
-    """The expression that starts at token ``i``, and the index of the token after it."""
+def _number(digits: str, pos: int) -> int:
+    """The int the ``digits`` at ``pos`` spell; past the interpreter's digit limit, refused."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise StructureParseError(f"number of {len(digits)} digits is too long", pos) from None
+
+
+def _expr(tokens, i, depth=1):
+    """The expression that starts at token ``i``, ``depth`` levels deep, and the index after it."""
     kind, value, pos = tokens[i]
     if kind != "name":
         raise StructureParseError(f"expected an expression, found {value or 'end of input'!r}", pos)
+    if depth > MAX_DEPTH:
+        raise StructureParseError(f"structure nested too deeply: more than {MAX_DEPTH} levels",
+                                  pos)
     node_type = _NODES.get(value)
     if node_type is None:
         comp = re.fullmatch(r"c(\d+)", value)
         if not comp:
             raise StructureParseError(f"unknown token {value!r}", pos)
-        if int(comp.group(1)) < 1:
+        number = _number(comp.group(1), pos + 1)
+        if number < 1:
             raise StructureParseError("component numbers are 1-based", pos)
-        return ComponentRef(int(comp.group(1)) - 1), i + 1
+        return ComponentRef(number - 1), i + 1
     _expect(tokens, i + 1, "punct", "(")
     if node_type is not KOutOfN:
-        children, i = _children(tokens, i + 2)
+        children, i = _children(tokens, i + 2, depth)
         return node_type(children), i
     k_tok = _expect(tokens, i + 2, "int")
     _expect(tokens, i + 3, "punct", ";")
-    children, i = _children(tokens, i + 4)
-    k = int(k_tok[1])
+    children, i = _children(tokens, i + 4, depth)
+    k = _number(k_tok[1], k_tok[2])
     if not 1 <= k <= len(children):
         raise StructureParseError(f"k={k} out of range for {len(children)} children", k_tok[2])
     return KOutOfN(k, children), i
 
 
-def _children(tokens, i):
+def _children(tokens, i, depth):
     """The children from token ``i`` to the closing ``)``, and the index after it.
 
-    Each ``...`` stays in the item list as its position until the ``)`` is
+    The node they belong to is ``depth`` levels deep.  Each ``...`` stays in the item list as its position until the ``)`` is
     read, and is then expanded to the components between its neighbours.
     """
     if tokens[i][:2] == ("punct", ")"):
@@ -187,7 +207,7 @@ def _children(tokens, i):
             items.append(tokens[i][2])
             i += 1
         else:
-            node, i = _expr(tokens, i)
+            node, i = _expr(tokens, i, depth + 1)
             items.append(node)
         kind, value, pos = tokens[i]
         i += 1

@@ -251,6 +251,12 @@ class TestDbpOracle:
         with pytest.raises(DegenerateSampleError):
             dbp_lcl_oracle(SINGLE, [WEIBULL], tied, 1.0, 0.1, 20, 10, rng=1)
 
+    def test_a_fitted_rate_of_zero_raises_a_typed_error(self):
+        # the time on test overflows, so the first-layer fit has rate 0
+        data = [np.array([1e308, 1e308, 1e308])]
+        with np.errstate(over="ignore"), pytest.raises(EstimationError, match="refused"):
+            dbp_lcl_oracle(SINGLE, [EXPONENTIAL], data, 1.0, 0.1, 20, 10, rng=1)
+
     def test_b1_selection_collapses_to_the_single_value(self):
         # at B = 1 the shared selection rule can only return the lone
         # first-layer value, whatever the second layer said (the public

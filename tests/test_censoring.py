@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from relbound.censoring import CensoredDataset, censoring_count, impute, type2_censor
 from relbound.distributions import EXPONENTIAL, LOGNORMAL, WEIBULL, ComponentModel, sample_lifetimes
 from relbound.errors import EstimationError
-from relbound.estimators import loglik, mle_fit
+from relbound.estimators import loglik, mle_fit, moment_estimate, observed_information
 
 
 class TestType2Censor:
@@ -120,8 +120,56 @@ class TestCensoredLoglik:
         assert a.mu_hat == pytest.approx(b.mu_hat, rel=1e-9)
         assert a.sigma_hat == pytest.approx(b.sigma_hat, rel=1e-9)
 
+    @pytest.mark.parametrize("family, message", [
+        (WEIBULL, "imputed dataset refused: failure times must be finite and > 0"),
+        (LOGNORMAL, "imputed dataset refused: failure times must be finite and > 0"),
+        (EXPONENTIAL, "exponential MLE: the total time on test overflows"),
+    ])
+    def test_imputation_past_the_float_limit_is_refused(self, family, message):
+        # censored at 1e308, the imputed times overflow, and so does the time on test
+        times = [1e306, 1e307, 1e308, 1.5e308, 1.7e308]
+        with np.errstate(over="ignore"), pytest.raises(EstimationError) as err:
+            impute(family, type2_censor(times, 3))
+        assert str(err.value) == message
+
     def test_impute_requires_enough_failures(self):
         times = np.array([1.0, 1.0, 1.0])
         cd = CensoredDataset(np.array([2.0, 2.0, 2.0]), np.array([False, True, True]))
         with pytest.raises(EstimationError):
             impute(WEIBULL, cd)
+
+
+class TestFailureDataRule:
+    TIMES = np.array([1.0, 2.0, 3.0, 3.0])
+
+    def callers(self, times, flags):
+        fit = mle_fit(WEIBULL, self.TIMES)
+        return [lambda: mle_fit(WEIBULL, times, flags),
+                lambda: loglik(WEIBULL, (0.0, 1.0), times, flags),
+                lambda: observed_information(fit, times, flags),
+                lambda: CensoredDataset(times, flags)]
+
+    @pytest.mark.parametrize("bad", [0.5, 2, -1, math.nan])
+    def test_a_flag_other_than_0_or_1_is_refused_by_every_caller(self, bad):
+        for call in self.callers(self.TIMES, [0, 0, 0, bad]):
+            with pytest.raises(ValueError, match="censored flags must be 0 or 1"):
+                call()
+
+    def test_flags_must_align_with_the_times(self):
+        for call in self.callers(self.TIMES, [0, 0, 1]):
+            with pytest.raises(ValueError, match="align with the 4 failure times"):
+                call()
+
+    def test_bools_and_ints_are_the_same_flags(self):
+        ints, bools = [0, 0, 0, 1], [False, False, False, True]
+        assert mle_fit(WEIBULL, self.TIMES, ints) == mle_fit(WEIBULL, self.TIMES, bools)
+        assert CensoredDataset(self.TIMES, ints).censored.tolist() == bools
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_a_time_not_finite_and_positive_is_refused_by_every_caller(self, bad):
+        times = np.array([1.0, 2.0, 3.0, bad])
+        calls = self.callers(times, None)[:3] + [lambda: CensoredDataset(times, [0, 0, 0, 0]),
+                                                 lambda: moment_estimate(WEIBULL, times)]
+        for call in calls:
+            with pytest.raises(ValueError, match="^failure times must be finite and > 0$"):
+                call()

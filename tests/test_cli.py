@@ -117,6 +117,17 @@ class TestLclCommand:
         (tmp_path / "c2.csv").write_text("time\n1.0\n2.0\n")
         assert run_cli(["lcl", str(bad)], cwd=tmp_path).returncode == 3
 
+    @pytest.mark.parametrize("times", [[1e-300, 2e-300, 3e-300], [1e300, 2e300, 3e300],
+                                       [1e308, 1e308, 1e308]])
+    def test_extreme_exponential_delta_exit_3(self, tmp_path, capsys, times):
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps({
+            "structure": "series(c1)", "t": 1.0, "method": "delta",
+            "components": [{"id": "c1", "family": "exponential", "times": times}]}))
+        with np.errstate(over="ignore"):
+            assert main(["lcl", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("estimation error: ")
+
     def test_invalid_alpha_exit_4(self, request_file):
         assert run_cli(["lcl", str(request_file), "--alpha", "1.5"]).returncode == 4
 

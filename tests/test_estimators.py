@@ -101,8 +101,9 @@ class TestRowFits:
         assert list(est.params) == list(family.params)
         assert list(est.summary()) == ["family", "estimator", "n",
                                        *(f"{name}_hat" for name in family.params)]
-        assert est.model().params == est.params
-        assert component_reliability(est, 1.3) == component_reliability(est.model(), 1.3)
+        model = ComponentModel(est.family, **est.params)
+        assert model.params == est.params
+        assert component_reliability(est, 1.3) == component_reliability(model, 1.3)
 
 
 def test_a_degenerate_row_fails_the_row_fit():
@@ -216,11 +217,11 @@ class TestLogLik:
 
 class TestFisherInformation:
     def test_lognormal_diag(self):
-        info = fisher_information(LOGNORMAL, ComponentModel(LOGNORMAL, mu=0.0, sigma=1.0), 25)
+        info = fisher_information(ComponentModel(LOGNORMAL, mu=0.0, sigma=1.0), 25)
         assert info == pytest.approx(np.diag([25.0, 50.0]), rel=1e-12)
 
     def test_exponential(self):
-        info = fisher_information(EXPONENTIAL, ComponentModel(EXPONENTIAL, rate=2.0), 10)
+        info = fisher_information(ComponentModel(EXPONENTIAL, rate=2.0), 10)
         assert info == pytest.approx(np.array([[2.5]]), rel=1e-12)
 
     def test_weibull_against_quadrature(self):
@@ -240,16 +241,16 @@ class TestFisherInformation:
         a12 = entry(lambda z: lp(z) * (1 + z * lp(z)))
         a22 = entry(lambda z: (1 + z * lp(z)) ** 2)
         sigma, n = 0.7, 13
-        info = fisher_information(WEIBULL, ComponentModel(WEIBULL, mu=0.2, sigma=sigma), n)
+        info = fisher_information(ComponentModel(WEIBULL, mu=0.2, sigma=sigma), n)
         expected = n / sigma ** 2 * np.array([[a11, a12], [a12, a22]])
         assert np.max(np.abs(info - expected)) < 1e-6
 
     def test_symmetric_positive_definite(self):
-        for family, model in [
-            (WEIBULL, ComponentModel(WEIBULL, mu=0.0, sigma=0.3)),
-            (LOGNORMAL, ComponentModel(LOGNORMAL, mu=1.0, sigma=2.0)),
+        for model in [
+            ComponentModel(WEIBULL, mu=0.0, sigma=0.3),
+            ComponentModel(LOGNORMAL, mu=1.0, sigma=2.0),
         ]:
-            info = fisher_information(family, model, 7)
+            info = fisher_information(model, 7)
             assert np.allclose(info, info.T)
             assert np.all(np.linalg.eigvalsh(info) > 0)
 
@@ -263,8 +264,8 @@ class TestFisherInformation:
             kappa1=W.kappa1, kappa2=W.kappa2, name="sev-as-generic",
         )
         model = ComponentModel(generic_sev, mu=0.1, sigma=0.8)
-        info = fisher_information(generic_sev, model, 9)
-        closed = fisher_information(WEIBULL, ComponentModel(WEIBULL, mu=0.1, sigma=0.8), 9)
+        info = fisher_information(model, 9)
+        closed = fisher_information(ComponentModel(WEIBULL, mu=0.1, sigma=0.8), 9)
         assert np.max(np.abs(info - closed)) < 1e-5
 
     def test_a_family_without_pdf_is_refused(self):
@@ -278,7 +279,7 @@ class TestFisherInformation:
         data = [sample_lifetimes(model, 30, rng=i) for i in range(2)]
         refused = pytest.raises(EstimationError, match="without a pdf")
         with refused:
-            fisher_information(normal, model, 30)
+            fisher_information(model, 30)
         with refused:
             mle_fit(normal, data[0])
         with refused:
@@ -301,7 +302,7 @@ class TestFisherInformation:
                          pdf=differenced_pdf, name="normal")
         model = ComponentModel(normal, mu=0.0, sigma=1.0)
         with pytest.raises(EstimationError, match="not finite"):
-            fisher_information(normal, model, 30)
+            fisher_information(model, 30)
         node = parse_structure("series(c1,c2)")
         data = [sample_lifetimes(model, 30, rng=i) for i in range(2)]
         with pytest.raises(EstimationError, match="not finite"):
@@ -318,14 +319,14 @@ class TestFisherInformation:
                                                 / math.sqrt(2.0 * math.pi), np.nan),
                          name="normal")
         with pytest.raises(EstimationError, match="not finite at z=1, inside"):
-            fisher_information(normal, ComponentModel(normal, mu=0.0, sigma=1.0), 1)
+            fisher_information(ComponentModel(normal, mu=0.0, sigma=1.0), 1)
         # NaN only far in the left tail, where the cdf underflows to 0: no mass
         logistic = Generic(cdf=LOGISTIC.cdf, quantile=LOGISTIC.quantile,
                            sample=LOGISTIC.sample_standardized,
                            pdf=lambda x: np.exp(-x) / (1.0 + np.exp(-x)) ** 2,
                            kappa1=0.0, kappa2=LOGISTIC.kappa2, name="logistic")
         assert np.isnan(logistic.pdf(-1000.0))
-        info = fisher_information(logistic, ComponentModel(logistic, mu=0.0, sigma=1.0), 1)
+        info = fisher_information(ComponentModel(logistic, mu=0.0, sigma=1.0), 1)
         assert info[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-7)
         assert info[0, 1] == pytest.approx(0.0, abs=1e-9)
         assert info[1, 1] == pytest.approx(1.0 / 3.0 + math.pi ** 2 / 9.0, rel=1e-7)
@@ -333,12 +334,22 @@ class TestFisherInformation:
     def test_observed_matches_expected_complete_lognormal(self):
         data = sample_lifetimes(ComponentModel(LOGNORMAL, mu=0.0, sigma=1.0), 400, rng=4)
         est = mle_fit(LOGNORMAL, data)
-        obs = observed_information(LOGNORMAL, est, data)
-        exp = fisher_information(LOGNORMAL, est.model(), 400)
+        obs = observed_information(est, data)
+        exp = fisher_information(est, 400)
         assert np.max(np.abs(obs - exp) / np.abs(exp).max()) < 1e-3
 
 
 class TestDeltaLcl:
+    @pytest.mark.parametrize("times", [[1e-300, 2e-300, 3e-300], [1e300, 2e300, 3e300],
+                                       [1e308, 1e308, 1e308]],
+                             ids=["rate-squared-overflows", "rate-squared-underflows",
+                                  "time-on-test-overflows"])
+    def test_extreme_exponential_information_is_an_estimation_error(self, times):
+        node = parse_structure("series(c1)")
+        with np.errstate(over="ignore"), pytest.raises(EstimationError,
+                                                       match="information|time on test"):
+            delta_lcl(node, [EXPONENTIAL], [times], 1.0, 0.1)
+
     def test_zero_se_returns_point_estimate_standard_form(self):
         # one exponential component at tiny t: dr/dlambda ~ -t, se ~ t -> ~0
         node = parse_structure("series(c1)")
@@ -378,7 +389,7 @@ class TestDeltaLcl:
         partials = structure_partials(node, [component_reliability(f, t) for f in fits])
         h = 1e-6
         for i in range(3):
-            grad = partials[i] * _reliability_gradient(families[i], fits[i], t)
+            grad = partials[i] * _reliability_gradient(fits[i], t)
             for j in range(2):
                 hi = [list(th) for th in thetas]
                 lo = [list(th) for th in thetas]

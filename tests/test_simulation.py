@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from relbound import simulation
@@ -18,7 +20,7 @@ from relbound.distributions import (
     component_reliability,
     sample_lifetimes,
 )
-from relbound.errors import ConfigError, StructureParseError
+from relbound.errors import ConfigError, RelboundError, StructureParseError
 from relbound.results import LclResult
 from relbound.simulation import (
     CoverageReport,
@@ -344,6 +346,11 @@ class TestSolve:
         achieved = eval_reliability(node, [component_reliability(m, 2.0) for m in models])
         assert achieved == pytest.approx(0.9988, abs=1e-12)
 
+    def test_unreachable_target_refused_when_built(self):
+        # identical components in 1e-15..1-1e-15 give series(c1,c2) 1e-30 at least
+        with pytest.raises(ValueError, match="target reliability 1e-300 is out of reach"):
+            small_config(target_reliability=1e-300)
+
 
 class TestAggregates:
     def test_cell_counts_each_result_that_fell_outside(self):
@@ -459,6 +466,20 @@ class TestCoverageStudy:
         report = run_coverage_study(config)
         assert [(c.method, c.failures, c.coverage) for c in report.cells] == [
             ("bp", 3, None), ("dbpt", 3, None), ("delta", 3, None)]
+
+    def test_refused_draw_fails_every_method_not_the_study(self):
+        # a rate of 1e-320 draws every time as inf, which no fit accepts
+        config = small_config(family=None, target_reliability=None, n_values=(5,),
+                              replications=2, censoring_fraction=0.3, methods=("bp", "delta"),
+                              components=({"family": "exponential", "rate": 1.0},
+                                          {"family": "exponential", "rate": 1e-320}))
+        with np.errstate(over="ignore"):
+            report = run_coverage_study(config)
+            runs = simulation._one_replication(simulation._study_setup(config), config, 0, 5, 0)
+        assert [(c.method, c.failures, c.coverage) for c in report.cells] == [
+            ("bp", 2, None), ("delta", 2, None)]
+        assert set(runs.values()) == {"EstimationError: sampled dataset refused: "
+                                      "failure times must be finite and > 0"}
 
     def test_censored_study_runs(self):
         config = small_config(
@@ -597,3 +618,39 @@ class TestRuntimeProbe:
         )
         probe = runtime_scaling_probe(config, repeats=2)
         assert probe["speedup_at_max_n"] >= 20.0
+
+
+def _log_uniform(sign=False):
+    """Floats 10**e for e uniform over the float range, of either sign with ``sign``."""
+    magnitude = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+    if not sign:
+        return magnitude
+    return st.tuples(st.sampled_from([-1.0, 1.0]), magnitude).map(lambda p: p[0] * p[1])
+
+
+_COMPONENT = st.one_of(
+    st.builds(lambda rate: {"family": "exponential", "rate": rate}, _log_uniform()),
+    *(st.builds(lambda mu, sigma, name=name: {"family": name, "mu": mu, "sigma": sigma},
+                _log_uniform(sign=True), _log_uniform())
+      for name in ("weibull", "lognormal")))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme fits overflow on the way
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(structure=st.sampled_from(["series(c1,c2)", "parallel(c1,c2)", "koutofn(1; c1,c2)",
+                                  "koutofn(2; c1,c2)"]),
+       components=st.lists(_COMPONENT, min_size=2, max_size=2),
+       t=_log_uniform(), n=st.sampled_from([2, 5]),
+       censoring=st.sampled_from([None, 0.3, 0.9]), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_study_of_extreme_components_runs_or_is_refused_when_built(structure, components, t,
+                                                                      n, censoring, seed):
+    try:
+        config = StudyConfig(structure=structure, t=t, n_values=(n,), components=components,
+                             methods=("bp", "bb", "dbpt", "delta", "delta-standard"),
+                             B=20, C=10, replications=2, seed=seed,
+                             censoring_fraction=censoring)
+    except (ValueError, RelboundError):
+        return
+    for cell in run_coverage_study(config).cells:
+        for value in (cell.coverage, cell.q_lcl):
+            assert value is None or math.isfinite(value), cell

@@ -8,6 +8,7 @@ from relbound.bootstrap import dbpt_lcl
 from relbound.distributions import WEIBULL, ComponentModel, sample_lifetimes
 from relbound.errors import StructureError, StructureParseError
 from relbound.structures import (
+    MAX_DEPTH,
     ComponentRef,
     KOutOfN,
     Parallel,
@@ -279,3 +280,38 @@ def test_num_components_counts_and_validates():
         num_components(KOutOfN(3, (ComponentRef(0), ComponentRef(1))))
     with pytest.raises(StructureError):
         num_components(Series(()))
+
+
+class TestLimits:
+    @pytest.mark.parametrize("text, position", [
+        ("series(c" + "1" * 5000 + ")", 8),
+        ("koutofn(" + "1" * 5000 + "; c1, c2)", 8),
+    ])
+    def test_number_past_the_digit_limit_is_a_parse_error(self, text, position):
+        with pytest.raises(StructureParseError) as err:
+            parse_structure(text)
+        assert str(err.value) == f"number of 5000 digits is too long (at position {position})"
+
+    def test_parse_refuses_deep_nesting(self):
+        deepest = "series(" * (MAX_DEPTH - 1) + "c1" + ")" * (MAX_DEPTH - 1)
+        assert num_components(parse_structure(deepest)) == 1
+        for depth in (MAX_DEPTH, 500):
+            text = "series(" * depth + "c1" + ")" * depth
+            with pytest.raises(StructureParseError) as err:
+                parse_structure(text)
+            assert str(err.value) == (f"structure nested too deeply: more than {MAX_DEPTH} "
+                                      f"levels (at position {7 * MAX_DEPTH})")
+
+    def test_tree_built_too_deep_is_refused(self):
+        def nest(depth):
+            node = ComponentRef(0)
+            for _ in range(depth - 1):
+                node = Series((node,))
+            return node
+
+        assert num_components(nest(MAX_DEPTH)) == 1
+        for depth in (MAX_DEPTH + 1, 2000):
+            with pytest.raises(StructureError, match="nested too deeply"):
+                num_components(nest(depth))
+            with pytest.raises(StructureError, match="nested too deeply"):
+                eval_reliability(nest(depth), [0.5])
