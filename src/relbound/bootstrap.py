@@ -23,9 +23,11 @@ t equals the scalar LCL at t bit for bit.
 
 The dbpt second layer (B first-layer rows times C shared auxiliary pairs per
 component) runs blocks outside, times inside: it walks blocks of first-layer
-rows once and evaluates every time within each block, through one reused
-buffer, so its working memory is O(s * rows * C) with rows * C near 2**15,
-whatever B and G are.
+rows once and evaluates every time within each block.  Each component's
+transform, reliability and share of the structure function are computed in
+place in one (rows, C) buffer of its own, allocated once per call, so its
+working memory is O(s * rows * C) with rows * C near 2**15, whatever B and
+G are, and a block-time step allocates no array.
 """
 
 from __future__ import annotations
@@ -37,13 +39,12 @@ import numpy as np
 
 from .censoring import impute, type2_censor
 from .distributions import ComponentModel, component_reliability, mission_grid, sample_lifetimes
-from .errors import EstimationError
 from .estimators import moment_estimate
 from .rng import generator, seed_entropy
 from .resampling import gen_aux_batch, transform_scale
 from .results import LclResult
 from .selection import ceil_div, ceil_index, kth_smallest
-from .structures import StructureNode, eval_structure, num_components
+from .structures import StructureNode, check_component_lists, eval_structure, scratch_rows
 
 __all__ = ["LclResult", "bp_lcl", "bb_lcl", "dbpt_lcl", "dbp_lcl_oracle", "bootstrap_curve",
            "check_bootstrap_settings"]
@@ -82,8 +83,15 @@ def _r_hat(structure, comps, t) -> np.ndarray:
     return np.asarray(eval_structure(structure, [component_reliability(c, t) for c in comps]))
 
 
-def _boundary_hits(r: np.ndarray, axis=None):
-    return np.count_nonzero((r == 0.0) | (r == 1.0), axis=axis)
+def _boundary_hits(r: np.ndarray, axis=None, masks=(None, None)):
+    """How many values of ``r`` are exactly 0 or 1, per ``axis``.
+
+    ``masks`` are two bool arrays shaped like ``r`` to work in; by default
+    the comparisons allocate their own.
+    """
+    hit = np.equal(r, 0.0, out=masks[0])
+    return np.count_nonzero(np.logical_or(hit, np.equal(r, 1.0, out=masks[1]), out=hit),
+                            axis=axis)
 
 
 def _draw_aux(comps, size, rng, layer, paper_literal):
@@ -138,38 +146,45 @@ def _second_layer(structure, comps, vals1, aux2, r_hat):
 
     Row j of component i transforms ``vals1[i][j, g]`` by each of the C shared
     auxiliary pairs ``aux2[i]``.  Rows are processed in blocks of
-    ``max(1, 2**15 // C)``, and every time is evaluated within a block; the
-    affine map of each component is written into one reused (rows, C) buffer,
-    so peak memory is O(s * rows * C) instead of O(s * B * C).  Each element
-    goes through the same numpy operations as the unblocked map, so the
-    counts are bit-identical to it.
+    ``max(1, 2**15 // C)``, and every time is evaluated within a block.  Each
+    component owns one (rows, C) buffer, allocated once: the affine map is
+    written into it, its reliability is computed there in place, and the
+    structure function combines the buffers in place (with the scratch
+    buffers a k-out-of-n node needs), so peak memory is O(s * rows * C)
+    instead of O(s * B * C), and no block or time allocates an array.  Each
+    element goes through the same numpy operations as the unblocked map, so
+    the counts are bit-identical to it.
 
     Returns ``(u_counts, boundary_hits, ties)``: the (B, G) int64 counts, and
     per time the second-layer component values equal to 0 or 1 and the system
     values equal to ``r_hat``.  The last two are counted only when G == 1, the
     scalar LCL that reports them, and are 0 otherwise.
     """
-    (B, G), C = vals1[0].shape, aux2[0][1].shape[0]
-    rows = max(1, _BLOCK_ELEMS // C)
-    buf = np.empty((min(rows, B), C))
+    (B, G), C, s = vals1[0].shape, aux2[0][1].shape[0], len(comps)
+    rows = min(max(1, _BLOCK_ELEMS // C), B)
+    # separate (rows, C) arrays, not one (s + scratch, rows, C) array: glibc
+    # hands arrays this size back to the system between calls, where one large
+    # array stayed on its heap and raised the peak RSS of a run of LCLs
+    bufs = [np.empty((rows, C)) for _ in range(s + scratch_rows(structure))]
+    mask_bufs = np.empty((2, rows, C), dtype=bool)
     u_counts = np.empty((B, G), dtype=np.int64)
     hits, ties = np.zeros(G, dtype=np.int64), np.zeros(G, dtype=np.int64)
     scalar = G == 1
     for lo in range(0, B, rows):
         hi = min(lo + rows, B)
-        block = buf[: hi - lo]
+        block, masks = [buf[: hi - lo] for buf in bufs], mask_bufs[:, : hi - lo]
+        r2_list, scratch = block[:s], block[s:]
         for g in range(G):
-            r2_list = []
-            for comp, v1, (z2, m2) in zip(comps, vals1, aux2):
+            for comp, v1, (z2, m2), r2 in zip(comps, vals1, aux2, r2_list):
                 family = comp.family
-                r2 = family.reliability(transform_scale(family, v1[lo:hi, g, None], z2, m2, block))
+                family.reliability(transform_scale(family, v1[lo:hi, g, None], z2, m2, r2), out=r2)
                 if scalar:
-                    hits[g] += _boundary_hits(r2)
-                r2_list.append(r2)
-            r_2star = np.asarray(eval_structure(structure, r2_list))
-            u_counts[lo:hi, g] = np.count_nonzero(r_2star <= r_hat[g], axis=1)
+                    hits[g] += _boundary_hits(r2, masks=masks)
+            r_2star = eval_structure(structure, r2_list, scratch)
+            covered = np.less_equal(r_2star, r_hat[g], out=masks[0])
+            u_counts[lo:hi, g] = np.count_nonzero(covered, axis=1)
             if scalar:
-                ties[g] += np.count_nonzero(r_2star == r_hat[g])
+                ties[g] += np.count_nonzero(np.equal(r_2star, r_hat[g], out=masks[0]))
     return u_counts, hits, ties
 
 
@@ -194,9 +209,7 @@ def _run(method, structure, families, datasets, t, alpha, B, C, rng, paper_liter
          recensor_n_tilde=None):
     """Check, fit and run ``method`` at every time in ``t``; returns (comps, outcome)."""
     check_bootstrap_settings(method, alpha, B, C)
-    s = num_components(structure)
-    if len(families) != s or len(datasets) != s:
-        raise ValueError(f"structure has {s} components; families/datasets must match")
+    check_component_lists(structure, families, datasets)
     t = mission_grid(t)
     comps = [moment_estimate(family, data) for family, data in zip(families, datasets)]
     r_hat = _r_hat(structure, comps, t)
@@ -280,11 +293,7 @@ def _resampled_fits(family, params, n, rows, rng, n_tilde):
     Each fitted parameter is a (rows,) array.  With ``n_tilde`` set, each
     dataset is Type-II censored and imputed first.
     """
-    try:
-        model = ComponentModel(family, **params)
-    except ValueError as exc:  # a fitted rate of 0, from a time on test that overflowed
-        raise EstimationError(f"resampled dataset refused: {exc}") from None
-    x = sample_lifetimes(model, (rows, n), rng)
+    x = sample_lifetimes(ComponentModel(family, **params), (rows, n), rng)
     if n_tilde is not None:
         x = np.stack([impute(family, type2_censor(row, n_tilde)) for row in x])
     return moment_estimate(family, x)

@@ -21,9 +21,16 @@ from .errors import EstimationError
 from .estimators import mle_fit
 from .selection import ceil_index
 
-__all__ = ["CensoredDataset", "type2_censor", "censoring_count", "impute", "IMPUTE_MODES"]
+__all__ = ["CensoredDataset", "type2_censor", "censoring_count", "impute", "IMPUTE_MODES",
+           "check_impute_mode"]
 
 IMPUTE_MODES = ("mean", "quantile")
+
+
+def check_impute_mode(mode) -> None:
+    """Refuse an imputation mode that :func:`impute` does not know."""
+    if mode not in IMPUTE_MODES:
+        raise ValueError(f"impute_mode must be one of {list(IMPUTE_MODES)}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -51,10 +58,6 @@ class CensoredDataset:
                 )
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "censored", mask)
-
-    @property
-    def n_observed(self) -> int:
-        return int((~self.censored).sum())
 
 
 def type2_censor(times, n_tilde: int) -> CensoredDataset:
@@ -107,8 +110,7 @@ def impute(family: LifetimeFamily, censored: CensoredDataset,
     returned unchanged.  Imputed times that ``failure_times`` refuses, such
     as an overflow to inf, raise ``EstimationError``.
     """
-    if mode not in IMPUTE_MODES:
-        raise ValueError(f"mode must be one of {list(IMPUTE_MODES)}")
+    check_impute_mode(mode)
     times = censored.times
     mask = censored.censored
     if not mask.any():

@@ -67,15 +67,20 @@ class LifetimeFamily:
         """Scale value of the reliability at times ``t``: w = (log t - mu) / sigma."""
         return (np.log(t) - mu) / sigma
 
-    def reliability(self, v):
-        """Reliability from scale values: sf(w)."""
-        return self.sf(v)
+    def reliability(self, v, out=None):
+        """Reliability from scale values: sf(w), written into ``out`` when given."""
+        return self.sf(v, out=out)
 
     def cdf(self, x):
         raise NotImplementedError
 
-    def sf(self, x):
-        """Survival function 1 - cdf(x), computed without cancellation."""
+    def sf(self, x, out=None):
+        """Survival function 1 - cdf(x), computed without cancellation.
+
+        With ``out``, an array of the broadcast shape, the result is written
+        into it by the same operations, so it equals the returned array bit
+        for bit; ``out`` may be ``x`` itself.
+        """
         raise NotImplementedError
 
     def pdf(self, x):
@@ -110,9 +115,10 @@ class Weibull(LifetimeFamily):
         with np.errstate(over="ignore"):  # exp overflow saturates the cdf at 1
             return -np.expm1(-np.exp(np.asarray(x, dtype=float)))
 
-    def sf(self, x):
+    def sf(self, x, out=None):
         with np.errstate(over="ignore"):  # exp overflow flushes survival to 0
-            return np.exp(-np.exp(np.asarray(x, dtype=float)))
+            return np.exp(np.negative(np.exp(np.asarray(x, dtype=float), out=out), out=out),
+                          out=out)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -141,8 +147,8 @@ class LogNormal(LifetimeFamily):
     def cdf(self, x):
         return ndtr(np.asarray(x, dtype=float))
 
-    def sf(self, x):
-        return ndtr(-np.asarray(x, dtype=float))
+    def sf(self, x, out=None):
+        return ndtr(np.negative(np.asarray(x, dtype=float), out=out), out=out)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -174,9 +180,9 @@ class Exponential(Weibull):
         """Log reliability at times ``t``: -rate * t."""
         return -rate * t
 
-    def reliability(self, v):
-        """Reliability from log reliabilities: exp(v)."""
-        return np.exp(v)
+    def reliability(self, v, out=None):
+        """Reliability from log reliabilities: exp(v), written into ``out`` when given."""
+        return np.exp(v, out=out)
 
 
 class Generic(LifetimeFamily):
@@ -189,7 +195,8 @@ class Generic(LifetimeFamily):
     without it they raise ``EstimationError``.
     Callables must accept numpy arrays.  Each call hands them a private float
     copy of its argument, so a callable may write into its input without
-    touching the caller's array.
+    touching the caller's array; ``sf(x, out=...)`` copies the callable's
+    result into ``out``.
     """
 
     def __init__(self, cdf, quantile, sample, kappa1, kappa2,
@@ -212,10 +219,15 @@ class Generic(LifetimeFamily):
     def cdf(self, x):
         return self._cdf(np.array(x, dtype=float))
 
-    def sf(self, x):
+    def sf(self, x, out=None):
         if self._sf is not None:
-            return self._sf(np.array(x, dtype=float))
-        return 1.0 - self.cdf(x)
+            r = self._sf(np.array(x, dtype=float))
+        else:
+            r = 1.0 - self.cdf(x)
+        if out is None:
+            return r
+        np.copyto(out, r)
+        return out
 
     def pdf(self, x):
         if self._pdf is None:

@@ -32,7 +32,8 @@ from .distributions import (
 )
 from .errors import DegenerateSampleError, EstimationError
 from .results import LclResult
-from .structures import StructureNode, eval_reliability, num_components, structure_partials
+from .structures import (StructureNode, check_component_lists, eval_reliability,
+                         structure_partials)
 
 __all__ = [
     "MomentEstimate",
@@ -82,14 +83,20 @@ def moment_estimate(family: LifetimeFamily, data) -> MomentEstimate:
     """Moment-based fit: sigma = s/kappa2 and mu = xbar - kappa1*sigma on log times.
 
     The sample SD uses the n-1 divisor.  Exponential data instead yield
-    rate = n / sum(t), valid from n = 1.  A (rows, n) array is fitted row
-    by row along its last axis, by the same arithmetic, and each estimate
-    is then a (rows,) array; a 1-D dataset gives floats.
+    rate = n / sum(t), valid from n = 1; a rate that is not positive and
+    finite, because the total time on test over- or underflows, raises
+    ``EstimationError``.  A (rows, n) array is fitted row by row along its
+    last axis, by the same arithmetic, and each estimate is then a (rows,)
+    array; a 1-D dataset gives floats.
     """
     times = failure_times(data, ndim=2)
     n = times.shape[-1]
     if isinstance(family, Exponential):
-        return MomentEstimate(family, n, rate_hat=_unwrap(n / times.sum(axis=-1)))
+        rate = n / times.sum(axis=-1)
+        if not ((rate > 0.0) & (rate < math.inf)).all():
+            raise EstimationError("exponential moment fit refused: the rate n / (total time "
+                                  "on test) is not positive and finite")
+        return MomentEstimate(family, n, rate_hat=_unwrap(rate))
     if n < 2:
         raise EstimationError("two-parameter families need n >= 2 observations")
     x = np.log(times)
@@ -442,9 +449,7 @@ def _delta_at(structure, families, datasets, times, alpha, form, censored_masks)
     times = mission_grid(times)
     if form not in ("paper", "standard"):
         raise ValueError("form must be 'paper' or 'standard'")
-    s = num_components(structure)
-    if len(families) != s or len(datasets) != s:
-        raise ValueError(f"structure has {s} components; families/datasets must match")
+    check_component_lists(structure, families, datasets)
     fitted = _delta_fit(families, datasets, censored_masks)
     return fitted, [_delta_raw(structure, fitted, t, alpha, form) for t in times.tolist()]
 

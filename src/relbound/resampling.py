@@ -70,11 +70,7 @@ def transform_w(family: LifetimeFamily, w, z_bar, m, out=None):
     written into ``out`` when given, else into a new array.
     """
     if out is None:
-        # numpy's operators rather than one preallocated result: with the
-        # latter, glibc's heap trimming made the second layer of a 50-point
-        # series(3) Weibull dbpt curve take ~60k page faults instead of ~1k,
-        # and a bend-back study ran 20% slower
-        return (w - z_bar) * (family.kappa2 / m) + family.kappa1
+        out = np.empty(np.broadcast(w, z_bar, m).shape)
     np.subtract(w, z_bar, out=out)
     np.multiply(out, family.kappa2 / m, out=out)
     return np.add(out, family.kappa1, out=out)

@@ -41,7 +41,7 @@ from scipy.optimize import brentq
 
 from .bootstrap import (bb_lcl, bootstrap_curve, bp_lcl, check_bootstrap_settings,
                         dbp_lcl_oracle, dbpt_lcl)
-from .censoring import IMPUTE_MODES, censoring_count, impute, type2_censor
+from .censoring import censoring_count, check_impute_mode, impute, type2_censor
 from .distributions import (
     ComponentModel,
     Exponential,
@@ -216,8 +216,7 @@ class StudyConfig:
             raise ValueError(
                 "give either explicit 'components' or 'family' + 'target_reliability'"
             )
-        if self.impute_mode not in IMPUTE_MODES:
-            raise ValueError(f"impute_mode must be one of {list(IMPUTE_MODES)}")
+        check_impute_mode(self.impute_mode)
         if not 0.0 < self.lcl_quantile < 1.0:
             raise ValueError("lcl_quantile must lie inside (0, 1)")
         if self.threads < 1:

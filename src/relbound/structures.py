@@ -42,6 +42,8 @@ __all__ = [
     "parse_structure",
     "num_components",
     "eval_structure",
+    "scratch_rows",
+    "check_component_lists",
     "eval_reliability",
     "eval_reliability_bruteforce",
     "structure_partials",
@@ -102,7 +104,12 @@ def num_components(node: StructureNode) -> int:
     component to be relevant, and the recursive structure function is exact
     only when sibling subtrees share no component.
     """
-    counts = Counter(_leaves(node))
+    return _count_ids(_leaves(node))
+
+
+def _count_ids(indices) -> int:
+    """The component count ``s`` of a tree whose leaves hold ``indices``, each of 0..s-1 once."""
+    counts = Counter(indices)
     s = max(counts) + 1
     gaps = s - len(counts)
     if gaps:
@@ -117,6 +124,13 @@ def num_components(node: StructureNode) -> int:
     if repeated:
         raise StructureError(f"component ids {repeated} are repeated; each must appear once")
     return s
+
+
+def check_component_lists(node: StructureNode, families, datasets) -> None:
+    """Refuse ``families`` and ``datasets`` unless each has one entry per component of ``node``."""
+    s = num_components(node)
+    if len(families) != s or len(datasets) != s:
+        raise ValueError(f"structure has {s} components; families/datasets must match")
 
 
 # --- parsing ---------------------------------------------------------------
@@ -163,8 +177,11 @@ def _number(digits: str, pos: int) -> int:
         raise StructureParseError(f"number of {len(digits)} digits is too long", pos) from None
 
 
-def _expr(tokens, i, depth=1):
-    """The expression that starts at token ``i``, ``depth`` levels deep, and the index after it."""
+def _expr(tokens, i, leaves, depth=1):
+    """The expression that starts at token ``i``, ``depth`` levels deep, and the index after it.
+
+    The index of each component it references is appended to ``leaves``.
+    """
     kind, value, pos = tokens[i]
     if kind != "name":
         raise StructureParseError(f"expected an expression, found {value or 'end of input'!r}", pos)
@@ -179,25 +196,28 @@ def _expr(tokens, i, depth=1):
         number = _number(comp.group(1), pos + 1)
         if number < 1:
             raise StructureParseError("component numbers are 1-based", pos)
+        leaves.append(number - 1)
         return ComponentRef(number - 1), i + 1
     _expect(tokens, i + 1, "punct", "(")
     if node_type is not KOutOfN:
-        children, i = _children(tokens, i + 2, depth)
+        children, i = _children(tokens, i + 2, leaves, depth)
         return node_type(children), i
     k_tok = _expect(tokens, i + 2, "int")
     _expect(tokens, i + 3, "punct", ";")
-    children, i = _children(tokens, i + 4, depth)
+    children, i = _children(tokens, i + 4, leaves, depth)
     k = _number(k_tok[1], k_tok[2])
     if not 1 <= k <= len(children):
         raise StructureParseError(f"k={k} out of range for {len(children)} children", k_tok[2])
     return KOutOfN(k, children), i
 
 
-def _children(tokens, i, depth):
+def _children(tokens, i, leaves, depth):
     """The children from token ``i`` to the closing ``)``, and the index after it.
 
-    The node they belong to is ``depth`` levels deep.  Each ``...`` stays in the item list as its position until the ``)`` is
-    read, and is then expanded to the components between its neighbours.
+    The node they belong to is ``depth`` levels deep, and each component
+    index is appended to ``leaves``.  Each ``...`` stays in the item list as
+    its position until the ``)`` is read, and is then expanded to the
+    components between its neighbours.
     """
     if tokens[i][:2] == ("punct", ")"):
         raise StructureParseError("empty children list", tokens[i][2])
@@ -207,7 +227,7 @@ def _children(tokens, i, depth):
             items.append(tokens[i][2])
             i += 1
         else:
-            node, i = _expr(tokens, i, depth + 1)
+            node, i = _expr(tokens, i, leaves, depth + 1)
             items.append(node)
         kind, value, pos = tokens[i]
         i += 1
@@ -228,55 +248,101 @@ def _children(tokens, i, depth):
         if prev.index >= nxt.index:
             raise StructureParseError("'...' range must be increasing", item)
         children.extend(ComponentRef(c) for c in range(prev.index + 1, nxt.index))
+        leaves.extend(range(prev.index + 1, nxt.index))
     return tuple(children), i
 
 
 def parse_structure(text: str) -> StructureNode:
-    """Parse a structure expression and validate the resulting tree."""
-    tokens = _tokenize(text)
-    node, i = _expr(tokens, 0)
+    """Parse a structure expression and validate the resulting tree.
+
+    The parser refuses every malformed node itself and collects the
+    component indices as it reads them, so the tree it builds is not walked
+    again to check them.
+    """
+    tokens, leaves = _tokenize(text), []
+    node, i = _expr(tokens, 0, leaves)
     if tokens[i][0] != "eof":
         raise StructureParseError(f"trailing input {tokens[i][1]!r}", tokens[i][2])
-    num_components(node)
+    _count_ids(leaves)
     return node
 
 
 # --- evaluation ------------------------------------------------------------
 
 
-def eval_structure(node: StructureNode, r: Sequence) -> "np.ndarray | float":
+def eval_structure(node: StructureNode, r: Sequence, scratch=None) -> "np.ndarray | float":
     """Structure function over per-component values (scalars or broadcastable arrays).
 
     The unchecked evaluator behind :func:`eval_reliability`, for hot paths
     whose inputs are valid by construction: it neither validates the tree nor
     checks that the values lie in [0, 1], and returns whatever type the
     arithmetic yields.
+
+    Without ``scratch`` every node's value is a fresh result.  With it, the
+    values in ``r`` are equal-shape float arrays that the caller owns, and
+    the tree is evaluated in place: each node's value is written into the
+    array of its leftmost component, which is also where the result is.
+    Every component appears once in a valid tree, so each array is read by
+    one leaf only.  ``scratch`` holds at least :func:`scratch_rows` more
+    arrays of that shape for the k-out-of-n recursion.  Both forms do the same
+    multiplications and additions in the same order, so their results are
+    equal bit for bit.
     """
     if isinstance(node, ComponentRef):
         return r[node.index]
-    vals = [eval_structure(child, r) for child in node.children]
+    vals = [eval_structure(child, r, scratch) for child in node.children]
+    # each step below is one numpy operation, written into an owned array in
+    # place or else into a fresh result
+    own = scratch is not None
+    first = vals[0]
     if isinstance(node, Series):
-        out = vals[0]
+        out = first
         for v in vals[1:]:
-            out = out * v
+            out = np.multiply(out, v, out=first) if own else out * v
         return out
     if isinstance(node, Parallel):
-        out = 1.0 - vals[0]
+        out = np.subtract(1.0, first, out=first) if own else 1.0 - first
         for v in vals[1:]:
-            out = out * (1.0 - v)
-        return 1.0 - out
-    # KOutOfN: dp[j] is P(exactly j of the children processed so far work)
-    dp = [1.0]
-    for v in vals:
-        new = [dp[0] * (1.0 - v)]
-        for j in range(1, len(dp)):
-            new.append(dp[j] * (1.0 - v) + dp[j - 1] * v)
-        new.append(dp[-1] * v)
-        dp = new
+            out = (np.multiply(out, np.subtract(1.0, v, out=v), out=first) if own
+                   else out * (1.0 - v))
+        return np.subtract(1.0, out, out=first) if own else 1.0 - out
+    # KOutOfN: dp[j] is P(exactly j of the children processed so far work),
+    # updated from high j to low j so that each dp[j - 1] is read before it
+    # is overwritten
+    m = len(vals)
+    if own:
+        dp, fail, term = list(scratch[:m + 1]), scratch[m + 1], scratch[m + 2]
+        dp[0].fill(1.0)
+    else:
+        dp = [1.0] + [None] * m
+    for i, v in enumerate(vals):
+        fail = np.subtract(1.0, v, out=fail) if own else 1.0 - v
+        dp[i + 1] = np.multiply(dp[i], v, out=dp[i + 1]) if own else dp[i] * v
+        for j in range(i, 0, -1):
+            dp[j] = (np.add(np.multiply(dp[j], fail, out=dp[j]),
+                            np.multiply(dp[j - 1], v, out=term), out=dp[j]) if own
+                     else dp[j] * fail + dp[j - 1] * v)
+        dp[0] = np.multiply(dp[0], fail, out=dp[0]) if own else dp[0] * fail
     tail = dp[node.k]
-    for j in range(node.k + 1, len(dp)):
-        tail = tail + dp[j]
+    if own:  # the children are read, so the leftmost one's array is free for the result
+        np.copyto(first, tail)
+        tail = first
+    for j in range(node.k + 1, m + 1):
+        tail = np.add(tail, dp[j], out=first) if own else tail + dp[j]
     return tail
+
+
+def scratch_rows(node: StructureNode) -> int:
+    """How many scratch arrays :func:`eval_structure` needs to evaluate ``node`` in place.
+
+    A k-out-of-n node of m children needs m + 3: the m + 1 probabilities of
+    its recursion, its child's failure probability and one product; nodes
+    are evaluated one at a time, so the widest such node sets the count.
+    """
+    if isinstance(node, ComponentRef):
+        return 0
+    own = len(node.children) + 3 if isinstance(node, KOutOfN) else 0
+    return max(own, *(scratch_rows(child) for child in node.children))
 
 
 def _check_reliabilities(node: StructureNode, r) -> list:

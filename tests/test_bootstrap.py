@@ -251,6 +251,14 @@ class TestDbpOracle:
         with pytest.raises(DegenerateSampleError):
             dbp_lcl_oracle(SINGLE, [WEIBULL], tied, 1.0, 0.1, 20, 10, rng=1)
 
+    @pytest.mark.parametrize("method", ["bp", "bb", "dbpt", "dbp"])
+    @pytest.mark.parametrize("times, t", [([1e308] * 3, 1e307), ([5e-324] * 3, 1e-323)])
+    def test_an_exponential_rate_past_the_float_range_is_refused(self, method, times, t):
+        # the total time on test overflows (rate 0, so R-hat was 1 and the LCL
+        # 1.0) or underflows the rate to inf (R-hat 0 where the data imply 0.14)
+        with np.errstate(over="ignore"), pytest.raises(EstimationError, match="moment fit refused"):
+            compute_lcl(method, SINGLE, [EXPONENTIAL], [np.array(times)], t, 0.1, 20, 10, 1)
+
     def test_a_fitted_rate_of_zero_raises_a_typed_error(self):
         # the time on test overflows, so the first-layer fit has rate 0
         data = [np.array([1e308, 1e308, 1e308])]
@@ -389,6 +397,25 @@ class TestSecondLayerKernel:
                     assert (hits[0], ties[0]) == tuple(expected[1:])
             if G == 1:
                 assert ties[0] >= 1
+
+    @pytest.mark.parametrize("family_name", sorted(KERNEL_FAMILIES))
+    def test_in_place_reliability_keeps_its_inputs(self, family_name):
+        # reliability(out=) fills the kernel's own buffers: the first layer and
+        # the auxiliary pairs it reads stay as they were
+        family = KERNEL_FAMILIES[family_name]
+        node = parse_structure(KERNEL_STRUCTURES[-1])
+        comps, vals1, aux2, r_hat = _layers(node, family, 300, 200, 7, 3)
+        kept = [v.copy() for v in vals1], [(z.copy(), m.copy()) for z, m in aux2]
+        _second_layer(node, comps, vals1, aux2, r_hat)
+        assert all(np.array_equal(a, b) for a, b in zip(vals1, kept[0]))
+        assert all(np.array_equal(a, c) and np.array_equal(b, d)
+                   for (a, b), (c, d) in zip(aux2, kept[1]))
+        # into another array, the argument is kept and the result is the allocating one's
+        v = vals1[0]
+        out = np.empty_like(v)
+        assert family.reliability(v, out=out) is out
+        assert np.array_equal(v, kept[0][0])
+        assert np.array_equal(out, family.reliability(v))
 
     def test_in_place_sf_leaves_the_first_layer_intact(self):
         # the same family with an sf that writes its result into its argument

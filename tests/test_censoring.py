@@ -25,7 +25,7 @@ class TestType2Censor:
         assert censoring_count(10, 0.3) == 7
         cd = type2_censor(np.arange(1.0, 11.0), censoring_count(10, 0.3))
         assert int(cd.censored.sum()) == 3
-        assert cd.n_observed == 7
+        assert int((~cd.censored).sum()) == 7
 
     def test_invalid_n_tilde(self):
         with pytest.raises(ValueError):

@@ -128,6 +128,16 @@ class TestLclCommand:
             assert main(["lcl", str(path)]) == 3
         assert capsys.readouterr().err.startswith("estimation error: ")
 
+    @pytest.mark.parametrize("method", ["bp", "bb", "dbpt"])
+    def test_overflowing_exponential_bootstrap_exit_3(self, tmp_path, capsys, method):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "structure": "series(c1)", "t": 1e307, "method": method, "B": 20, "C": 10,
+            "components": [{"id": "c1", "family": "exponential", "times": [1e308] * 3}]}))
+        with np.errstate(over="ignore"):
+            assert main(["lcl", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("estimation error: ")
+
     def test_invalid_alpha_exit_4(self, request_file):
         assert run_cli(["lcl", str(request_file), "--alpha", "1.5"]).returncode == 4
 

@@ -15,8 +15,10 @@ from relbound.structures import (
     Series,
     eval_reliability,
     eval_reliability_bruteforce,
+    eval_structure,
     num_components,
     parse_structure,
+    scratch_rows,
     structure_partials,
 )
 
@@ -192,6 +194,25 @@ class TestAgainstBruteForce:
             fast = eval_reliability(node, r)
             slow = eval_reliability_bruteforce(node, r)
             assert abs(fast - slow) <= 1e-12
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 4),
+           st.integers(1, 6))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_in_place_equals_fresh_bit_for_bit(self, seed, s, rows, C):
+        # nested series, parallel and k-out-of-n trees on (rows, C) arrays, some values 0 or 1
+        rng = np.random.default_rng(seed)
+        node = random_tree(rng, s)
+        r = [np.where(rng.random((rows, C)) < 0.1, rng.integers(0, 2, (rows, C)),
+                      rng.random((rows, C))) for _ in range(s)]
+        owned = [v.copy() for v in r]
+        fresh = eval_structure(node, r)
+        assert all(np.array_equal(a, b) for a, b in zip(r, owned))  # the caller's values kept
+        result = eval_structure(node, owned, np.empty((scratch_rows(node), rows, C)))
+        assert np.array_equal(result, fresh)
+        leftmost = node
+        while not isinstance(leftmost, ComponentRef):
+            leftmost = leftmost.children[0]
+        assert result is owned[leftmost.index]
 
     def test_monotone_in_each_component(self):
         rng = np.random.default_rng(31)
