@@ -28,6 +28,20 @@ transform, reliability and share of the structure function are computed in
 place in one (rows, C) buffer of its own, allocated once per call, so its
 working memory is O(s * rows * C) with rows * C near 2**15, whatever B and
 G are, and a block-time step allocates no array.
+
+A curve (G > 1) over one leaf or a series of leaves, every one of a family
+with a ``log_hazard`` (Weibull, exponential), takes the hazard path when a
+bound on its error is under a quarter of its guard band.  Over a series,
+R2 <= R_hat is sum_i h_i >= H_hat = -log R_hat, where component i's
+reliability is exp(-h_i).  On a log-uniform grid each second-layer log
+hazard is affine in the grid index, so each hazard is carried along the grid
+by one multiply per step.  Its counts are the live kernel's: every
+hazard sum outside the band [H_hat (1 - eps) - eps, H_hat (1 + eps) + eps]
+is decided as the live kernel decides it, since the error bound is under a
+quarter of the band, and three rules send the rest to the live kernel, which
+computes each row alone: a row with a sum inside the band, a row whose
+starting hazards are not normal floats, and a time whose R_hat is 0, tiny or
+within a few ulps of 1.
 """
 
 from __future__ import annotations
@@ -41,10 +55,11 @@ from .censoring import impute, type2_censor
 from .distributions import ComponentModel, component_reliability, mission_grid, sample_lifetimes
 from .estimators import moment_estimate
 from .rng import generator, seed_entropy
-from .resampling import gen_aux_batch, transform_scale
+from .resampling import gen_aux_batch, log_hazard_slope, transform_scale
 from .results import LclResult
 from .selection import ceil_div, ceil_index, kth_smallest
-from .structures import StructureNode, check_component_lists, eval_structure, scratch_rows
+from .structures import (ComponentRef, Series, StructureNode, check_component_lists, eval_structure,
+                         scratch_rows)
 
 __all__ = ["LclResult", "bp_lcl", "bb_lcl", "dbpt_lcl", "dbp_lcl_oracle", "bootstrap_curve",
            "check_bootstrap_settings"]
@@ -145,7 +160,25 @@ def _second_layer(structure, comps, vals1, aux2, r_hat):
     """Per first-layer row j and time g, how many of C second-layer values are <= r_hat[g].
 
     Row j of component i transforms ``vals1[i][j, g]`` by each of the C shared
-    auxiliary pairs ``aux2[i]``.  Rows are processed in blocks of
+    auxiliary pairs ``aux2[i]``.  A curve over a series of hazard families
+    whose first layer is log-affine along the grid takes the hazard path
+    (:func:`_hazard_second_layer`), and everything else the live kernel
+    (:func:`_live_second_layer`); both give the live kernel's counts.
+
+    Returns ``(u_counts, boundary_hits, ties)``: the (B, G) int64 counts, and
+    per time the second-layer component values equal to 0 or 1 and the system
+    values equal to ``r_hat``.  The last two are counted only when G == 1, the
+    scalar LCL that reports them, and are 0 otherwise.
+    """
+    if _takes_hazard_path(structure, comps, vals1, aux2):
+        return _hazard_second_layer(structure, comps, vals1, aux2, r_hat)
+    return _live_second_layer(structure, comps, vals1, aux2, r_hat)
+
+
+def _live_second_layer(structure, comps, vals1, aux2, r_hat):
+    """The second layer as it is defined: each value's reliability, structure and comparison.
+
+    Rows are processed in blocks of
     ``max(1, 2**15 // C)``, and every time is evaluated within a block.  Each
     component owns one (rows, C) buffer, allocated once: the affine map is
     written into it, its reliability is computed there in place, and the
@@ -153,12 +186,9 @@ def _second_layer(structure, comps, vals1, aux2, r_hat):
     buffers a k-out-of-n node needs), so peak memory is O(s * rows * C)
     instead of O(s * B * C), and no block or time allocates an array.  Each
     element goes through the same numpy operations as the unblocked map, so
-    the counts are bit-identical to it.
-
-    Returns ``(u_counts, boundary_hits, ties)``: the (B, G) int64 counts, and
-    per time the second-layer component values equal to 0 or 1 and the system
-    values equal to ``r_hat``.  The last two are counted only when G == 1, the
-    scalar LCL that reports them, and are 0 otherwise.
+    the counts are bit-identical to it, and each row's counts are the same
+    whichever rows and times a call is given.  Returns what
+    :func:`_second_layer` returns.
     """
     (B, G), C, s = vals1[0].shape, aux2[0][1].shape[0], len(comps)
     rows = min(max(1, _BLOCK_ELEMS // C), B)
@@ -186,6 +216,145 @@ def _second_layer(structure, comps, vals1, aux2, r_hat):
             if scalar:
                 ties[g] += np.count_nonzero(np.equal(r_2star, r_hat[g], out=masks[0]))
     return u_counts, hits, ties
+
+
+# --- the hazard path ------------------------------------------------------------
+#
+# Over a series, R2 <= R_hat is H2 >= H_hat, where H2 is the sum of the
+# components' hazards (each reliability is exp(-h)) and H_hat = -log(R_hat).
+# Each H2 is decided in that domain only outside the guard band
+# [H_hat (1 - _BAND) - _BAND, H_hat (1 + _BAND) + _BAND]; rows with a value in
+# the band, and the rows and times the band cannot guard, take the live kernel.
+_BAND = 1e-9
+# a row goes live unless its log hazards at the last grid point lie within
+# +-700, so that every hazard the running product starts from is a normal float
+_LOG_HAZARD_MAX = 700.0
+# a time goes live unless H_hat lies in this range: below it R_hat is 1 to
+# within a few ulps; above it (or at R_hat = 0, H_hat = inf) second-layer
+# values near R_hat are no longer normal floats
+_H_HAT_RANGE = (4 * np.finfo(float).eps, 600.0)
+# the rounding error of one exp, log or arithmetic operation, taken generously
+_ROUNDING = 8 * np.finfo(float).eps
+
+
+def _is_series(node) -> bool:
+    """Whether ``node`` is a leaf or a tree of series nodes over leaves."""
+    return isinstance(node, ComponentRef) or (
+        isinstance(node, Series) and all(_is_series(child) for child in node.children))
+
+
+def _hazard_error_bound(comps, vals1, aux2) -> float:
+    """A bound on the hazard path's error in H2, relative to H2 + 1.
+
+    It has three parts.  The drift: on a log-uniform grid each first-layer
+    row's log hazards are affine in the grid index, and the second layer's are
+    an affine image of them; the largest deviation of each first layer from
+    its affine fit, times the largest slope of that image, bounds how far that
+    component's geometric hazards leave the live ones, and the sum over the
+    components bounds the largest.  The product's rounding over G steps, with
+    the log hazards, ratios and sum it starts from.  And the live path's own
+    rounding in R.  NaN, from a first layer without a finite log hazard,
+    fails every comparison.
+    """
+    G = vals1[0].shape[1]
+    steps = np.arange(G) / (G - 1)
+    drift = 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for comp, v1, (_, m2) in zip(comps, vals1, aux2):
+            log_h = comp.family.log_hazard(v1)
+            fit = log_h[:, :1] + (log_h[:, -1:] - log_h[:, :1]) * steps
+            # the fit's own rounding is at most a few ulps of the largest log hazard
+            deviation = np.max(np.abs(log_h - fit)) + 4 * _ROUNDING * np.max(np.abs(log_h))
+            drift += deviation * np.max(log_hazard_slope(comp.family, m2))
+    s = len(comps)
+    # G multiplies and ratio roundings, s - 1 additions, and the rounding of
+    # log hazards and steps, relative to a log hazard of at most
+    # _LOG_HAZARD_MAX that falls by about as much again before it stops
+    # counting
+    product = _ROUNDING * (2 * G + s + 4 * _LOG_HAZARD_MAX)
+    # per component an exp of the hazard and an exp of its negative, the s - 1
+    # products, and H_hat's own log
+    live = _ROUNDING * (3 * s + 2)
+    return float(drift + product + live)
+
+
+def _takes_hazard_path(structure, comps, vals1, aux2) -> bool:
+    """Whether a second layer is a curve the hazard path decides within its band."""
+    return (vals1[0].shape[1] > 1 and _is_series(structure)
+            and all(hasattr(c.family, "log_hazard") for c in comps)
+            and _hazard_error_bound(comps, vals1, aux2) <= _BAND / 4)
+
+
+def _hazard_second_layer(structure, comps, vals1, aux2, r_hat):
+    """The counts of :func:`_live_second_layer` on a series, in the hazard domain.
+
+    The times whose H_hat the band cannot guard, and the rows that
+    :func:`_hazard_counts` cannot decide, go through the live kernel.  Rows and
+    times are independent, so every count is the live one.
+    """
+    B, G = vals1[0].shape
+    with np.errstate(divide="ignore"):
+        h_hat = -np.log(r_hat)
+    fast = (h_hat > _H_HAT_RANGE[0]) & (h_hat < _H_HAT_RANGE[1])
+    u_counts = np.empty((B, G), dtype=np.int64)
+    live_rows = _hazard_counts(comps, vals1, aux2, h_hat, fast, u_counts)
+    for rows, times in ((np.ones(B, dtype=bool), ~fast), (live_rows, fast)):
+        if rows.any() and times.any():
+            counts, _, _ = _live_second_layer(structure, comps,
+                                              [v[rows][:, times] for v in vals1], aux2,
+                                              r_hat[times])
+            u_counts[np.ix_(rows, times)] = counts
+    return u_counts, np.zeros(G, dtype=np.int64), np.zeros(G, dtype=np.int64)
+
+
+def _hazard_counts(comps, vals1, aux2, h_hat, fast, u_counts):
+    """Write the counts at the ``fast`` times into ``u_counts``; the rows it cannot decide.
+
+    Per block of rows, each component's second-layer log hazards at the two
+    grid ends come from ``transform_scale`` and ``log_hazard``.  Each hazard
+    starts at exp of the log hazard at the last grid point and is carried
+    down the grid by one multiply per step, by the ratio
+    exp((first - last)/(G - 1)).  On an increasing grid the hazards fall along
+    the way, so those that leave the normal floats are small enough for their
+    absolute error not to count.  Each row is counted at both edges of the
+    guard band; it is undecided when the two counts differ, or when a log
+    hazard it starts from leaves +-``_LOG_HAZARD_MAX``.
+    """
+    (B, G), C, s = vals1[0].shape, aux2[0][1].shape[0], len(comps)
+    lower, upper = h_hat * (1.0 - _BAND) - _BAND, h_hat * (1.0 + _BAND) + _BAND
+    undecided = np.zeros(B, dtype=bool)
+    rows = min(max(1, _BLOCK_ELEMS // C), B)
+    bufs = [np.empty((rows, C)) for _ in range(2 * s + 1)]
+    mask_buf = np.empty((rows, C), dtype=bool)
+    for lo in range(0, B, rows):
+        hi = min(lo + rows, B)
+        block, mask = [buf[: hi - lo] for buf in bufs], mask_buf[: hi - lo]
+        hazards, ratios, total = block[:s], block[s:-1], block[-1]
+        with np.errstate(over="ignore", under="ignore"):
+            for comp, v1, (z2, m2), h, ratio in zip(comps, vals1, aux2, hazards, ratios):
+                family = comp.family
+                for g, buf in ((G - 1, h), (0, ratio)):
+                    family.log_hazard(transform_scale(family, v1[lo:hi, g, None], z2, m2, buf),
+                                      out=buf)
+                in_range = np.less_equal(np.abs(h, out=total), _LOG_HAZARD_MAX, out=mask)
+                undecided[lo:hi] |= ~in_range.all(axis=1)
+                np.exp(np.divide(np.subtract(ratio, h, out=ratio), G - 1, out=ratio), out=ratio)
+                np.exp(h, out=h)
+            for g in range(G - 1, -1, -1):
+                if g < G - 1:
+                    for h, ratio in zip(hazards, ratios):
+                        np.multiply(h, ratio, out=h)
+                if not fast[g]:
+                    continue
+                h2 = hazards[0]
+                for h in hazards[1:]:
+                    h2 = np.add(h2, h, out=total)
+                covered = np.count_nonzero(np.greater_equal(h2, upper[g], out=mask), axis=1)
+                u_counts[lo:hi, g] = covered
+                # the rows' counts at the lower edge are needed only when some differ
+                if np.count_nonzero(np.greater(h2, lower[g], out=mask)) != covered.sum():
+                    undecided[lo:hi] |= covered != np.count_nonzero(mask, axis=1)
+    return undecided
 
 
 def _transformed(method, structure, comps, t, r_hat, alpha, B, C, rng,

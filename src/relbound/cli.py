@@ -4,8 +4,8 @@ Commands: ``lcl`` (one LCL from a request file), ``simulate`` (coverage study
 from a config file), ``bendback-scan`` (LCL-versus-time monotonicity scan),
 ``perf-probe`` (dbpt versus nested-oracle runtime scaling).  Each command
 loads its request or config file by one reader: ``LclRequest.from_dict`` or
-``StudyConfig.from_dict``, then ``dataclasses.replace`` with each flag that
-sets a field, so the flags pass the record's checks too.  ``simulate`` runs
+``StudyConfig.from_dict``, given each flag that sets a field, so the record
+is built once and the flags pass its checks too.  ``simulate`` runs
 ``--threads`` workers, else ``RELBOUND_THREADS``, else the config's
 ``threads``.  Results are printed / written as JSON with floats at 17
 significant digits; study output files are written atomically
@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,6 @@ from .simulation import (
     run_coverage_study,
     runtime_scaling_probe,
 )
-from .structures import parse_structure
 
 EXIT_PARSE = 2
 EXIT_ESTIMATION = 3
@@ -155,16 +154,16 @@ def _censored_mask(flags, n: int, where) -> np.ndarray:
 
 
 def _load_record(cls, path: str, args, defaults=None, **given):
-    """``cls.from_dict`` of the JSON file at ``path``, then ``replace`` with each set flag.
+    """``cls.from_dict`` of the JSON file at ``path``, with each set flag over its values.
 
     The flags are the ``args`` named like a field of ``cls`` and ``given``,
     which names the flags whose field has another name; None means unset.
     ``defaults`` supplies keys the file leaves out.
     """
     raw = _load_json(path)
-    record = cls.from_dict({**defaults, **raw} if defaults and isinstance(raw, dict) else raw)
     flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
-    return replace(record, **{k: v for k, v in {**flags, **given}.items() if v is not None})
+    return cls.from_dict({**defaults, **raw} if defaults and isinstance(raw, dict) else raw,
+                         **{k: v for k, v in {**flags, **given}.items() if v is not None})
 
 
 def _load_request(args):
@@ -206,7 +205,7 @@ def _env_threads():
 
 def cmd_lcl(args) -> int:
     request, families, datasets, masks = _load_request(args)
-    result = compute_lcl(request.method, parse_structure(request.structure), families, datasets,
+    result = compute_lcl(request.method, request.node, families, datasets,
                          request.t, request.alpha, request.B, request.C, request.seed,
                          paper_literal_aux=args.paper_literal_aux, censored_masks=masks)
     sys.stdout.write(dumps(result.to_dict()))
@@ -240,7 +239,7 @@ def cmd_bendback_scan(args) -> int:
         grid = np.logspace(np.log10(args.t_min), np.log10(args.t_max), args.points)
     else:
         grid = default_t_grid(request.t, args.points, args.decades)
-    curve = lcl_curve(request.method, parse_structure(request.structure), families, datasets,
+    curve = lcl_curve(request.method, request.node, families, datasets,
                       grid, request.alpha, request.B, request.C, request.seed,
                       paper_literal_aux=args.paper_literal_aux, censored_masks=masks)
     violations = bend_back_violations(curve)

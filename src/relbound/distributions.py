@@ -14,10 +14,12 @@ quantile w = (log t - mu)/sigma with reliability sf(w).  The exponential is
 the one-parameter case: it uses the rate and the log reliability -rate*t.
 It is a Weibull subclass, whose standardized law (cdf, sf, pdf, quantiles,
 draws and moment constants) it inherits unchanged, with the scale pinned at
-one.  Beyond these attributes it differs in three places: its auxiliary law (a
-single gamma statistic, in ``resampling``), its likelihood, MLE and
-information (in ``estimators``), and its imputation by memorylessness (in
-``censoring``).
+one.  Weibull and exponential families also state ``log_hazard``, the log of
+the hazard h of a scale value, whose reliability is exp(-h); log-normal and
+generic families have none.  Beyond these attributes the exponential differs
+in three places: its auxiliary law (a single gamma statistic, in
+``resampling``), its likelihood, MLE and information (in ``estimators``),
+and its imputation by memorylessness (in ``censoring``).
 """
 
 from __future__ import annotations
@@ -125,6 +127,14 @@ class Weibull(LifetimeFamily):
         with np.errstate(over="ignore"):  # exp(x) overflow flushes the density to 0
             return np.exp(x - np.exp(x))
 
+    def log_hazard(self, v, out=None):
+        """Log of the hazard h with reliability exp(-h), from scale values: w itself.
+
+        The standardized survival function is sf(w) = exp(-exp(w)), so the
+        hazard is exp(w).  The result is written into ``out`` when given.
+        """
+        return np.positive(v, out=out)
+
     def quantile(self, p):
         p = _check_prob(p)
         return np.log(-np.log1p(-p))
@@ -183,6 +193,16 @@ class Exponential(Weibull):
     def reliability(self, v, out=None):
         """Reliability from log reliabilities: exp(v), written into ``out`` when given."""
         return np.exp(v, out=out)
+
+    def log_hazard(self, v, out=None):
+        """Log of the hazard h with reliability exp(-h), from log reliabilities: log(-v).
+
+        A log reliability of 0 gives -inf.  The result is written into
+        ``out`` when given.
+        """
+        hazard = np.negative(v, out=out)
+        with np.errstate(divide="ignore"):
+            return np.log(hazard, out=hazard)
 
 
 class Generic(LifetimeFamily):

@@ -27,6 +27,7 @@ __all__ = [
     "transform_w",
     "transform_logr",
     "transform_scale",
+    "log_hazard_slope",
 ]
 
 
@@ -92,3 +93,14 @@ def transform_scale(family: LifetimeFamily, v, z_bar, m, out=None):
         return transform_logr(v, m, out)
     return transform_w(family, v, z_bar, m, out)
 
+
+def log_hazard_slope(family: LifetimeFamily, m):
+    """How much :func:`transform_scale` scales a log hazard, per auxiliary ``m``.
+
+    Only for families with a ``log_hazard``.  A Weibull's log hazard is its
+    scale value w, which :func:`transform_w` multiplies by kappa2/m; an
+    exponential's is log(-v), which :func:`transform_logr` shifts by -log m.
+    """
+    if isinstance(family, Exponential):
+        return np.ones_like(m)
+    return family.kappa2 / m

@@ -136,7 +136,8 @@ def _from_json(cls, raw, what: str, renamed: dict, **given):
     """A ``cls`` record from the JSON object ``raw``; an unknown or missing key is a ConfigError.
 
     ``renamed`` maps a field to its key where they differ, or to None for a
-    field with no key of its own, which the caller passes in ``given``.
+    field with no key of its own, which the caller passes in ``given``;
+    ``given`` also overrides the values ``raw`` holds.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} must be a JSON object")
@@ -148,7 +149,7 @@ def _from_json(cls, raw, what: str, renamed: dict, **given):
         if f.default is MISSING and key not in raw:
             raise ConfigError(f"{what} is missing required key {key!r}")
     try:
-        return cls(**{keys[key].name: value for key, value in raw.items()}, **given)
+        return cls(**{**{keys[key].name: value for key, value in raw.items()}, **given})
     except (TypeError, KeyError) as exc:
         raise ConfigError(f"malformed {what} value: {exc}") from exc
 
@@ -224,17 +225,19 @@ class StudyConfig:
         _study_setup(self)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "StudyConfig":
+    def from_dict(cls, raw: dict, **given) -> "StudyConfig":
+        """The config the JSON object ``raw`` describes, with the fields ``given`` set over it."""
         bend = raw.get("bend_back") if isinstance(raw, dict) else None
         if not isinstance(bend, dict):
-            return _from_json(cls, raw, "config", _RENAMED)
+            return _from_json(cls, raw, "config", _RENAMED, **given)
         bad = set(bend) - set(_BEND_BACK.values())
         if bad:
             raise ConfigError(f"unknown bend_back keys: {sorted(bad)}")
         group = {name: bend[key] for name, key in _BEND_BACK.items() if key in bend}
         # a bend_back group switches the scan on unless it says otherwise
         enabled = group.pop("bend_back", True)
-        return _from_json(cls, {**raw, "bend_back": enabled}, "config", _RENAMED, **group)
+        return _from_json(cls, {**raw, "bend_back": enabled}, "config", _RENAMED,
+                          **{**group, **given})
 
     def to_dict(self) -> dict:
         out = {}
@@ -260,6 +263,7 @@ class LclRequest:
     Building a request normalises it like a :class:`StudyConfig`, puts the
     components in id order, and refuses the settings ``check_lcl_settings``
     refuses, a structure that does not parse and a malformed ``components``.
+    The parsed structure is kept as :attr:`node`.
     """
 
     structure: str
@@ -273,7 +277,8 @@ class LclRequest:
 
     def __post_init__(self):
         _cast_fields(self)
-        s = num_components(parse_structure(self.structure))
+        object.__setattr__(self, "_node", parse_structure(self.structure))
+        s = num_components(self.node)
         n = len(self.components) if isinstance(self.components, (list, tuple)) else None
         if n != s:
             raise ConfigError(f"structure references {s} components, request lists {n or 'no'}")
@@ -297,9 +302,15 @@ class LclRequest:
         object.__setattr__(self, "components", tuple(by_id[i] for i in ids))
         check_lcl_settings(self.method, self.t, self.alpha, self.B, self.C)
 
+    @property
+    def node(self) -> StructureNode:
+        """The tree ``structure`` describes, parsed once, when the request was built."""
+        return self._node
+
     @classmethod
-    def from_dict(cls, raw: dict) -> "LclRequest":
-        return _from_json(cls, raw, "request", {})
+    def from_dict(cls, raw: dict, **given) -> "LclRequest":
+        """The request the JSON object ``raw`` describes, with the fields ``given`` set over it."""
+        return _from_json(cls, raw, "request", {}, **given)
 
 
 def _entry_family(spec: dict):

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import ndtr, ndtri
 from scipy.stats import gamma, ks_2samp
 
+from relbound import bootstrap
 from relbound.bootstrap import (
     _boundary_hits,
     _draw_aux,
@@ -457,6 +458,136 @@ class TestSecondLayerKernel:
             finally:
                 tracemalloc.stop()
             assert peak < 32 * 2 ** 20
+
+
+# --- the hazard path for curves over series -----------------------------------
+
+
+def _curve_layers(text, families, models, n, B, C, seed, grid):
+    """The (B, G) first layer of a curve on ``grid``, its C second-layer pairs and R-hat."""
+    node = parse_structure(text)
+    comps = [moment_estimate(f, d) for f, d in zip(families, make_data(models, n, seed))]
+    vals1, _, _ = _first_layer(node, comps, scales_at(comps, grid),
+                               _draw_aux(comps, B, seed, 1, False))
+    return node, comps, vals1, _draw_aux(comps, C, seed, 2, False), _r_hat(node, comps, grid)
+
+
+def _assert_live_counts(node, comps, vals1, aux2, threshold):
+    """``_second_layer`` gives, at every time, the unblocked map's counts bit for bit."""
+    u_counts, hits, ties = _second_layer(node, comps, vals1, aux2, threshold)
+    for g in range(threshold.size):
+        _, expected, _, _ = _unblocked_second_layer(node, comps, [v[:, g] for v in vals1], aux2,
+                                                    threshold[g])
+        assert np.array_equal(u_counts[:, g], expected), g
+    assert not hits.any() and not ties.any()
+
+
+@pytest.fixture
+def live_calls(monkeypatch):
+    """The (rows, times) shape of every first layer the live kernel is handed."""
+    calls, live = [], bootstrap._live_second_layer
+
+    def spy(structure, comps, vals1, aux2, r_hat):
+        calls.append(vals1[0].shape)
+        return live(structure, comps, vals1, aux2, r_hat)
+
+    monkeypatch.setattr(bootstrap, "_live_second_layer", spy)
+    return calls
+
+
+# series(3) Weibull at n = 5, mu = 2.5, sigma = 0.6, B = 1000, C = 500, on
+# default_t_grid(centre, 50, 1.0): (centre, seed) cells with values inside the
+# guard band, a second-layer value of -820 on the scale, and R-hat = 0 at the
+# top of the grid
+PROTOTYPE = dict(text="series(c1,c2,c3)", families=[WEIBULL] * 3,
+                 models=[ComponentModel(WEIBULL, mu=2.5, sigma=0.6)] * 3, n=5, B=1000, C=500)
+PROTOTYPE_CELLS = [(1.0, 2), (10.0, 3), (30.0, 3)]
+
+
+class TestHazardPath:
+    @pytest.mark.parametrize("centre, seed", PROTOTYPE_CELLS)
+    def test_prototype_cells_match_the_unblocked_map(self, centre, seed, live_calls):
+        layers = _curve_layers(**PROTOTYPE, seed=seed, grid=default_t_grid(centre, 50, 1.0))
+        _assert_live_counts(*layers)
+        B, r_hat = PROTOTYPE["B"], layers[-1]
+        if centre == 1.0:  # the rows with a value in the band, at every time
+            assert live_calls and all(0 < rows < B and times == 50 for rows, times in live_calls)
+        if centre == 30.0:  # every row at the times where R-hat is 0, and more
+            assert any(rows == B and times >= np.count_nonzero(r_hat == 0.0) > 0
+                       for rows, times in live_calls)
+
+    @pytest.mark.parametrize("direction", ["rising", "falling"])
+    def test_start_hazards_past_the_normal_floats_send_their_rows_live(self, direction,
+                                                                       live_calls):
+        # one Weibull component whose log hazards cross the whole float range
+        # along the grid: rising rows start the product at an infinite hazard,
+        # falling rows at 0, and both hazards are wrong at the other end
+        G, C = 10, 50
+        ends, shifts = ((-20.0, 560.0), [0.0, -200.0, 20.0, -100.0]) if direction == "rising" \
+            else ((0.0, -620.0), [0.0, 200.0, -20.0, 100.0])
+        vals1 = [np.linspace(*ends, G)[None, :] + np.array(shifts)[:, None]]
+        aux2 = [(np.linspace(-1.0, 1.0, C), np.linspace(0.9, 1.1, C))]
+        r_hat = np.exp(-np.geomspace(0.01, 100.0, G))
+        _assert_live_counts(SINGLE, [moment_estimate(WEIBULL, [1.0, 2.0, 3.0])], vals1, aux2,
+                            r_hat)
+        assert live_calls and all(0 < rows < 4 for rows, _ in live_calls)
+
+    def test_threshold_on_a_live_element_sends_its_row_live(self, live_calls):
+        # a threshold equal to one second-layer system value, at every time:
+        # the value lies inside the band, so its row goes through the live kernel
+        grid = np.geomspace(0.8, 2.5, 12)
+        node, comps, vals1, aux2, r_hat = _curve_layers(
+            "series(c1,c2,c3)", [WEIBULL] * 3, [ComponentModel(WEIBULL, mu=0.5, sigma=0.7)] * 3,
+            8, 300, 200, 4, grid)
+        rows = np.arange(12) * 20 + 7
+        tied = np.array([_unblocked_second_layer(node, comps, [v[:, g] for v in vals1], aux2,
+                                                 r_hat[g])[0][j, 3 * g]
+                         for g, j in enumerate(rows)])
+        _assert_live_counts(node, comps, vals1, aux2, tied)
+        assert live_calls and live_calls[-1][0] >= 12
+
+    @pytest.mark.parametrize("s", [1, 3, 16])
+    def test_mixed_weibull_exponential_series(self, s, live_calls):
+        text = "series(c1)" if s == 1 else f"series(c1,...,c{s})"
+        families = [WEIBULL if i % 2 == 0 else EXPONENTIAL for i in range(s)]
+        models = [ComponentModel(WEIBULL, mu=1.2, sigma=0.6) if f is WEIBULL
+                  else ComponentModel(EXPONENTIAL, rate=0.05) for f in families]
+        layers = _curve_layers(text, families, models, 6, 200, 300, 11,
+                               np.geomspace(0.5, 2.0, 10))
+        _assert_live_counts(*layers)
+        # the hazard path decided the curve: the live kernel saw a few rows, if any
+        assert all(rows < 200 for rows, _ in live_calls)
+
+    def test_all_exponential_series_takes_the_hazard_path(self, live_calls):
+        layers = _curve_layers("series(c1,c2,c3)", [EXPONENTIAL] * 3,
+                               [ComponentModel(EXPONENTIAL, rate=0.2)] * 3, 5, 300, 200, 6,
+                               default_t_grid(1.0, 20))
+        _assert_live_counts(*layers)
+        assert all(rows < 300 for rows, _ in live_calls)
+
+    @pytest.mark.parametrize("grid", [np.linspace(0.5, 2.0, 10), np.geomspace(2.0, 0.5, 10)],
+                             ids=["linear", "decreasing"])
+    def test_other_grids(self, grid, live_calls):
+        # a linear grid is not log-uniform, so the curve takes the live kernel;
+        # a decreasing log-uniform one takes the hazard path
+        layers = _curve_layers("series(c1,c2,c3)", [WEIBULL] * 3,
+                               [ComponentModel(WEIBULL, mu=0.5, sigma=0.7)] * 3, 5, 300, 200, 3,
+                               grid)
+        _assert_live_counts(*layers)
+        if grid[0] < grid[-1]:
+            assert live_calls == [(300, 10)]
+        else:
+            assert all(rows < 300 for rows, _ in live_calls)
+
+    @pytest.mark.parametrize("text, family", [("series(c1,c2,c3)", LOGNORMAL),
+                                              ("koutofn(2;c1,c2,c3)", WEIBULL),
+                                              ("parallel(c1,c2,c3)", EXPONENTIAL)])
+    def test_other_curves_take_the_live_kernel(self, text, family, live_calls):
+        params = {"rate": 0.5} if family is EXPONENTIAL else {"mu": 0.5, "sigma": 0.7}
+        layers = _curve_layers(text, [family] * 3, [ComponentModel(family, **params)] * 3,
+                               5, 100, 50, 2, np.geomspace(0.5, 2.0, 5))
+        _second_layer(*layers)
+        assert live_calls == [(100, 5)]
 
 
 def traced_peak(run) -> int:

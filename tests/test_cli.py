@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from relbound import simulation, structures
 from relbound.cli import dumps, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -414,3 +415,19 @@ def test_main_in_process(request_file, capsys):
     assert main(["lcl", str(request_file)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["method"] == "bp"
+
+
+@pytest.mark.parametrize("command", ["lcl", "bendback-scan"])
+def test_each_command_parses_the_structure_once(request_file, monkeypatch, capsys, command):
+    # the request parses its structure, flags included, and the command runs on that tree
+    calls, parse = [], structures.parse_structure
+
+    def counting(text):
+        calls.append(text)
+        return parse(text)
+
+    for module in (structures, simulation):
+        monkeypatch.setattr(module, "parse_structure", counting)
+    assert main([command, str(request_file), "--B", "20", "--seed", "3"]) == 0
+    assert calls == ["series(c1,c2)"]
+    assert json.loads(capsys.readouterr().out)["seed"] == 3

@@ -152,6 +152,17 @@ class TestFamilyParams:
         assert shaped.ravel().tobytes() == flat.tobytes()
 
 
+@pytest.mark.parametrize("family", [WEIBULL, EXPONENTIAL], ids=lambda f: f.name)
+def test_log_hazard_gives_the_reliability_as_exp_of_minus_the_hazard(family):
+    v = np.array([-30.0, -2.5, -0.1, 0.0]) if family is EXPONENTIAL else np.linspace(-30, 5, 8)
+    log_h = family.log_hazard(v)
+    assert np.allclose(np.exp(-np.exp(log_h)), family.reliability(v), rtol=1e-14, atol=0)
+    out = np.empty_like(v)
+    assert family.log_hazard(v, out=out) is out
+    assert out.tobytes() == log_h.tobytes()
+    assert not hasattr(LOGNORMAL, "log_hazard") and not hasattr(logistic_family(), "log_hazard")
+
+
 class TestStandardized:
     def test_weibull_cdf_at_zero(self):
         assert WEIBULL.cdf(0.0) == pytest.approx(1 - math.exp(-1), rel=1e-12)

@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Time the dbpt curve kernel per grid point on a few systems, for a BENCH file's kernel_cost.
+
+Run from the root of a checkout, or point ``--src`` at another checkout's
+``src`` to time that code with the same script:
+
+    python3 tools/kernel_cost.py [--src DIR] [--datasets 6]
+
+For each system, components solved to R = 0.9 at t = 1, the script runs one
+warm-up curve, then ``bootstrap_curve("dbpt", ...)`` on
+``default_t_grid(1.0, 50, 1.0)`` with B = 1000, C = 500 for each of
+``--datasets`` n = 5 datasets, and prints one JSON object: per system the
+median ms per grid point and the median ``getrusage`` minor faults per
+curve.  Alternate processes of the two sides to compare them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import statistics
+import sys
+import time
+from pathlib import Path
+
+SYSTEMS = [
+    ("series(c1,c2,c3)", "weibull"),
+    ("series(c1,c2,c3)", "lognormal"),
+    ("series(c1,c2,c3)", "exponential"),
+    ("parallel(c1,c2,c3)", "exponential"),
+    ("koutofn(2;c1,c2,c3,c4,c5)", "weibull"),
+]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    parser.add_argument("--datasets", type=int, default=6)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    import relbound as rb
+    from relbound.rng import generator
+
+    grid = rb.default_t_grid(1.0, 50, 1.0)
+    out = {}
+    for text, name in SYSTEMS:
+        node, family = rb.parse_structure(text), rb.family_from_name(name)
+        models, _ = rb.solve_identical_components(node, family, 0.9, 1.0)
+        ms, faults = [], []
+        for seed in range(-1, args.datasets):  # seed -1 is the warm-up
+            data = [rb.sample_lifetimes(m, 5, generator(abs(seed), 0, i))
+                    for i, m in enumerate(models)]
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            start = time.perf_counter()
+            rb.bootstrap_curve("dbpt", node, [family] * len(models), data, grid, 0.1, 1000, 500,
+                               100 + abs(seed))
+            elapsed = time.perf_counter() - start
+            if seed >= 0:
+                ms.append(elapsed * 1e3 / grid.size)
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        out[f"{text} {name}"] = {"ms_per_point": round(statistics.median(ms), 2),
+                                 "minflt_per_curve": statistics.median(faults)}
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
