@@ -42,6 +42,18 @@ quarter of the band, and three rules send the rest to the live kernel, which
 computes each row alone: a row with a sum inside the band, a row whose
 starting hazards are not normal floats, and a time whose R_hat is 0, tiny or
 within a few ulps of 1.
+
+Most elements never run the product.  An element's modelled log H2 is a
+log-sum-exp of functions affine in the grid index, so it is convex: below
+its chord and above its tangents between the first and last fast time.  A
+certificate compares those with the band's edges, each moved by the most it
+bends away from its own chord, and decides an element at every fast time
+at once when its model lies outside the band by a margin of 1e-6 in log H2
+throughout.  The margin is far above the band, the error bound and the
+certificate's own rounding, so the product would have counted the element
+the same way and found it outside the band; only the other elements,
+compacted with their rows, run the product.  The counts, and the rows sent
+live, are therefore the product's own.
 """
 
 from __future__ import annotations
@@ -312,49 +324,207 @@ def _hazard_counts(comps, vals1, aux2, h_hat, fast, u_counts):
 
     Per block of rows, each component's second-layer log hazards at the two
     grid ends come from ``transform_scale`` and ``log_hazard``.  Each hazard
-    starts at exp of the log hazard at the last grid point and is carried
-    down the grid by one multiply per step, by the ratio
-    exp((first - last)/(G - 1)).  On an increasing grid the hazards fall along
-    the way, so those that leave the normal floats are small enough for their
-    absolute error not to count.  Each row is counted at both edges of the
-    guard band; it is undecided when the two counts differ, or when a log
+    h is modelled as exp(last) at the last grid point, times the ratio
+    exp((first - last)/(G - 1)) per step down the grid.  The certificate
+    (:func:`_certify`) decides most elements at every fast time at once; the
+    rest are compacted, with their rows, and carried down the grid by one
+    multiply per step (:func:`_running_product`).  On an increasing grid the
+    hazards fall along the way, so those that leave the normal floats are
+    small enough for their absolute error not to count.  A row is undecided
+    when its counts at the two edges of the guard band differ, or when a log
     hazard it starts from leaves +-``_LOG_HAZARD_MAX``.
     """
     (B, G), C, s = vals1[0].shape, aux2[0][1].shape[0], len(comps)
-    lower, upper = h_hat * (1.0 - _BAND) - _BAND, h_hat * (1.0 + _BAND) + _BAND
     undecided = np.zeros(B, dtype=bool)
+    times = np.flatnonzero(fast)
+    if not times.size:
+        return undecided
+    band = h_hat * (1.0 - _BAND) - _BAND, h_hat * (1.0 + _BAND) + _BAND, fast
+    bounds = _certificate_bounds(*band[:2], times)
     rows = min(max(1, _BLOCK_ELEMS // C), B)
-    bufs = [np.empty((rows, C)) for _ in range(2 * s + 1)]
-    mask_buf = np.empty((rows, C), dtype=bool)
-    for lo in range(0, B, rows):
-        hi = min(lo + rows, B)
-        block, mask = [buf[: hi - lo] for buf in bufs], mask_buf[: hi - lo]
-        hazards, ratios, total = block[:s], block[s:-1], block[-1]
-        with np.errstate(over="ignore", under="ignore"):
-            for comp, v1, (z2, m2), h, ratio in zip(comps, vals1, aux2, hazards, ratios):
+    bufs = [np.empty((rows, C)) for _ in range(2 * s + 3)]
+    mask_bufs = np.empty((4, rows, C), dtype=bool)
+    pending = _Pending(s, max(C, rows * C // 2), band, u_counts, undecided)
+    with np.errstate(all="ignore"):
+        for lo in range(0, B, rows):
+            hi = min(lo + rows, B)
+            block, masks = [buf[: hi - lo] for buf in bufs], mask_bufs[:, : hi - lo]
+            log_h, log_ratios, work = block[:s], block[s:2 * s], block[2 * s:]
+            for comp, v1, (z2, m2), h, ratio in zip(comps, vals1, aux2, log_h, log_ratios):
                 family = comp.family
                 for g, buf in ((G - 1, h), (0, ratio)):
                     family.log_hazard(transform_scale(family, v1[lo:hi, g, None], z2, m2, buf),
                                       out=buf)
-                in_range = np.less_equal(np.abs(h, out=total), _LOG_HAZARD_MAX, out=mask)
+                in_range = np.less_equal(np.abs(h, out=work[0]), _LOG_HAZARD_MAX, out=masks[0])
                 undecided[lo:hi] |= ~in_range.all(axis=1)
-                np.exp(np.divide(np.subtract(ratio, h, out=ratio), G - 1, out=ratio), out=ratio)
-                np.exp(h, out=h)
-            for g in range(G - 1, -1, -1):
-                if g < G - 1:
-                    for h, ratio in zip(hazards, ratios):
-                        np.multiply(h, ratio, out=h)
-                if not fast[g]:
-                    continue
-                h2 = hazards[0]
-                for h in hazards[1:]:
-                    h2 = np.add(h2, h, out=total)
-                covered = np.count_nonzero(np.greater_equal(h2, upper[g], out=mask), axis=1)
-                u_counts[lo:hi, g] = covered
-                # the rows' counts at the lower edge are needed only when some differ
-                if np.count_nonzero(np.greater(h2, lower[g], out=mask)) != covered.sum():
-                    undecided[lo:hi] |= covered != np.count_nonzero(mask, axis=1)
+                np.divide(np.subtract(ratio, h, out=ratio), G - 1, out=ratio)
+            always, open_ = _certify(log_h, log_ratios, G, times, bounds, work, masks)
+            u_counts[lo:hi, times] = np.count_nonzero(always, axis=1)[:, None]
+            pending.add(open_, log_h, log_ratios, lo)
+        pending.flush()
     return undecided
+
+
+# --- the certificate ---------------------------------------------------------
+#
+# An element's model sum at grid index x is H(x) = sum_i exp(a_i + (G-1-x) d_i),
+# with a_i its log hazard at the last grid point and d_i its log ratio per
+# step.  log H is a log-sum-exp of functions affine in x, so it is convex: it
+# lies below its chord and above its tangent at either end of the fast times.
+# The certificate decides an element only when its model lies outside the band
+# by a margin _MARGIN in log H at every fast time; its product value and its
+# live value then lie outside the band on the same side, so the running
+# product would count it as the certificate does.  For a row whose log
+# hazards start within +-_LOG_HAZARD_MAX, each d_i that carries weight at an
+# end moves its log hazard by at most about 1,400 between the ends, so the
+# certificate's own rounding stays many orders of magnitude under the margin;
+# other rows go live whatever the certificate decides.
+_MARGIN = 1e-6
+_TINY = np.finfo(float).tiny
+
+
+def _certificate_bounds(lower, upper, times):
+    """What an element's model sum is compared with at the first and last fast time.
+
+    Returns ``(never_at, always_at)``.  An element is never covered when its
+    sum at both ends is at most ``never_at``: the band's lower edge, lowered by
+    the margin and by the most log ``lower`` falls below its chord over the
+    fast times.  It is always covered when the tangent of its log sum at
+    either end is at least ``always_at`` at both ends: log ``upper``, raised by
+    the margin and by the most it rises above its chord.  A lower edge that is
+    not positive, or a ``never_at`` below the normal floats, decides nothing
+    (NaN fails every comparison).
+    """
+    x = (times - times[0]) / max(times[-1] - times[0], 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_lower, log_upper = np.log(lower[times]), np.log(upper[times])
+        dev_lower = np.max(log_lower[0] + (log_lower[-1] - log_lower[0]) * x - log_lower)
+        dev_upper = np.max(log_upper - (log_upper[0] + (log_upper[-1] - log_upper[0]) * x))
+        never_at = np.exp(log_lower[[0, -1]] - dev_lower - _MARGIN)
+    return (np.where(never_at > _TINY, never_at, np.nan),
+            log_upper[[0, -1]] + dev_upper + _MARGIN)
+
+
+def _certify(log_h, log_ratios, G, times, bounds, work, masks):
+    """Per element of a block: ``(always, open_)``, two (rows, C) bool masks.
+
+    ``always`` marks the elements certified covered at every fast time and
+    ``open_`` those the certificate cannot decide.  ``work`` is three (rows,
+    C) float buffers and ``masks`` four bool ones; ``always`` and ``open_``
+    are two of the latter.
+    """
+    never_at, always_at = bounds
+    h_sum, tangent, h = work
+    always, never, spare, both = masks
+    span = times[-1] - times[0]
+    for end, x in enumerate(times[[0, -1]]):
+        # the model at grid index x: H in h_sum, and sum_i h_i d_i in tangent
+        for i, (a, d) in enumerate(zip(log_h, log_ratios)):
+            term = h_sum if i == 0 else h
+            np.exp(np.add(np.multiply(d, G - 1 - x, out=term), a, out=term) if x < G - 1 else a,
+                   out=term)
+            if i == 0:
+                np.multiply(term, d, out=tangent)
+            else:
+                np.add(h_sum, term, out=h_sum)
+                np.add(tangent, np.multiply(term, d, out=term), out=tangent)
+        if end == 0:
+            np.less_equal(h_sum, never_at[0], out=never)
+        else:
+            np.logical_and(never, np.less_equal(h_sum, never_at[1], out=both), out=never)
+        # d log H / dx = -sum_i h_i d_i / H, so the tangent at this end reaches
+        # log H - (other - x) sum_i h_i d_i / H at the other end
+        np.divide(tangent, h_sum, out=tangent)
+        np.log(h_sum, out=h_sum)
+        np.subtract(h_sum, np.multiply(tangent, span if end == 0 else -span, out=tangent),
+                    out=tangent)
+        here = always if end == 0 else spare
+        np.greater_equal(h_sum, always_at[end], out=here)
+        np.logical_and(here, np.greater_equal(tangent, always_at[1 - end], out=both), out=here)
+        if end == 1:
+            np.logical_or(always, here, out=always)
+    return always, np.logical_not(np.logical_or(never, always, out=spare), out=spare)
+
+
+class _Pending:
+    """Elements the certificate leaves open, compacted for the running product.
+
+    Per component, each element keeps its log hazard at the last grid point
+    and its log ratio per step; elements are kept in row order, whole rows at
+    a time, with the rows and how many elements each has.  There is room for
+    ``size`` elements, at least one row's C; :func:`_running_product` counts
+    each full buffer, and the last one at :meth:`flush`, into ``u_counts``
+    and ``undecided``.
+    """
+
+    def __init__(self, s, size, band, u_counts, undecided):
+        self.log_h = [np.empty(size) for _ in range(s)]
+        self.log_ratios = [np.empty(size) for _ in range(s)]
+        self.total = np.empty(size)
+        self.mask = np.empty(size, dtype=bool)
+        self.n, self.rows, self.counts = 0, [], []
+        self.outputs = band, u_counts, undecided
+
+    def add(self, chosen, log_h, log_ratios, first_row):
+        """Append the ``chosen`` elements of a block whose first row is ``first_row``."""
+        per_row = np.count_nonzero(chosen, axis=1)
+        r = 0
+        while r < per_row.size:
+            room = self.total.size - self.n
+            q = r + int(np.searchsorted(np.cumsum(per_row[r:]), room, side="right"))
+            if q == r:
+                self.flush()
+                continue
+            k = int(per_row[r:q].sum())
+            mask, into = chosen[r:q].ravel(), slice(self.n, self.n + k)
+            for src, dst in zip(log_h + log_ratios, self.log_h + self.log_ratios):
+                np.compress(mask, src[r:q].ravel(), out=dst[into])
+            some = np.flatnonzero(per_row[r:q])
+            self.rows.append(first_row + r + some)
+            self.counts.append(per_row[r:q][some])
+            self.n += k
+            r = q
+
+    def flush(self):
+        """Count the pending elements and empty the buffer."""
+        n, self.n = self.n, 0
+        if n:
+            rows, counts = np.concatenate(self.rows), np.concatenate(self.counts)
+            self.rows, self.counts = [], []
+            _running_product([v[:n] for v in self.log_h], [v[:n] for v in self.log_ratios],
+                             rows, counts, self.total[:n], self.mask[:n], *self.outputs)
+
+
+def _running_product(log_h, log_ratios, rows, counts, total, mask, band, u_counts, undecided):
+    """Count compacted elements at the fast times and mark the rows with one in the band.
+
+    Each element's hazards start at exp of its log hazard at the last grid
+    point and are multiplied by exp of its log ratio per step down the grid,
+    so each sum is computed as the uncompacted kernel computed it.  The
+    elements come in row order, ``counts[i]`` of them from row ``rows[i]``;
+    ``total`` and ``mask`` are buffers.  Each count is added to ``u_counts``;
+    ``band`` is (lower, upper, fast).
+    """
+    lower, upper, fast = band
+    hazards = [np.exp(v, out=v) for v in log_h]
+    ratios = [np.exp(v, out=v) for v in log_ratios]
+    starts = np.cumsum(counts) - counts
+    G = fast.size
+    for g in range(G - 1, int(np.argmax(fast)) - 1, -1):
+        if g < G - 1:
+            for h, ratio in zip(hazards, ratios):
+                np.multiply(h, ratio, out=h)
+        if not fast[g]:
+            continue
+        h2 = hazards[0]
+        for h in hazards[1:]:
+            h2 = np.add(h2, h, out=total)
+        covered = np.add.reduceat(np.greater_equal(h2, upper[g], out=mask), starts,
+                                  dtype=np.int64)
+        u_counts[rows, g] += covered
+        # the rows' counts at the lower edge are needed only when some differ
+        if np.count_nonzero(np.greater(h2, lower[g], out=mask)) != covered.sum():
+            undecided[rows[covered != np.add.reduceat(mask, starts, dtype=np.int64)]] = True
 
 
 def _transformed(method, structure, comps, t, r_hat, alpha, B, C, rng,

@@ -170,7 +170,9 @@ class StudyConfig:
     or through :meth:`from_dict`, normalises the values to the field types
     and refuses the settings every replication would reject (see README),
     among them those ``check_lcl_settings`` refuses for any of its methods
-    and those the study's setup refuses as it is built.
+    and those the study's setup refuses as it is built.  That setup (the
+    parsed structure and the solved components) is kept with the config, and
+    the study's runs use it.
     """
 
     structure: str
@@ -222,7 +224,9 @@ class StudyConfig:
             raise ValueError("lcl_quantile must lie inside (0, 1)")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        _study_setup(self)
+        # built once, as the check of these settings; not a field, so neither
+        # compared nor echoed
+        put("_setup", _study_setup(self))
 
     @classmethod
     def from_dict(cls, raw: dict, **given) -> "StudyConfig":
@@ -639,7 +643,7 @@ def run_coverage_study(config: StudyConfig) -> CoverageReport:
     that method's replication, not the study; aggregate statistics are
     computed over the successful replications of each (method, n) cell.
     """
-    setup = _study_setup(config)
+    setup = config._setup
     r_true = float(eval_reliability(
         setup.node, [component_reliability(m, config.t) for m in setup.models]))
 
@@ -669,7 +673,7 @@ def runtime_scaling_probe(config: StudyConfig, repeats: int = 3) -> dict:
     """
     if len(config.n_values) < 2:
         raise ValueError("runtime probe needs at least two sample sizes")
-    node, families, models = _study_setup(config)[:3]
+    node, families, models = config._setup[:3]
     s = len(models)
 
     dbpt_ms, dbp_ms = [], []

@@ -30,6 +30,7 @@ from relbound.distributions import (
 )
 from relbound.errors import DegenerateSampleError, EstimationError
 from relbound.estimators import delta_curve, moment_estimate
+from relbound.resampling import transform_scale
 from relbound.rng import child_seedseq, generator
 from relbound.selection import ceil_div, ceil_index, kth_smallest
 from relbound.simulation import compute_lcl, default_t_grid, lcl_curve
@@ -495,6 +496,33 @@ def live_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def product_rows(monkeypatch):
+    """The row of every element the running product is handed, one array per call."""
+    calls, run = [], bootstrap._running_product
+
+    def spy(log_h, log_ratios, rows, counts, *rest):
+        calls.append(np.repeat(rows, counts))
+        return run(log_h, log_ratios, rows, counts, *rest)
+
+    monkeypatch.setattr(bootstrap, "_running_product", spy)
+    return calls
+
+
+def _elements(product_rows) -> int:
+    return sum(rows.size for rows in product_rows)
+
+
+SERIES2 = parse_structure("series(c1,c2)")
+
+
+def _weibull_layers(*first_layers, C=50):
+    """One Weibull component per (B, G) first layer, and C second-layer pairs shared by all."""
+    comps = [moment_estimate(WEIBULL, [1.0, 2.0, 3.0])] * len(first_layers)
+    aux2 = [(np.linspace(-0.5, 0.5, C), np.linspace(0.8, 1.2, C))] * len(first_layers)
+    return comps, list(first_layers), aux2
+
+
 # series(3) Weibull at n = 5, mu = 2.5, sigma = 0.6, B = 1000, C = 500, on
 # default_t_grid(centre, 50, 1.0): (centre, seed) cells with values inside the
 # guard band, a second-layer value of -820 on the scale, and R-hat = 0 at the
@@ -506,15 +534,19 @@ PROTOTYPE_CELLS = [(1.0, 2), (10.0, 3), (30.0, 3)]
 
 class TestHazardPath:
     @pytest.mark.parametrize("centre, seed", PROTOTYPE_CELLS)
-    def test_prototype_cells_match_the_unblocked_map(self, centre, seed, live_calls):
+    def test_prototype_cells_match_the_unblocked_map(self, centre, seed, live_calls,
+                                                     product_rows):
         layers = _curve_layers(**PROTOTYPE, seed=seed, grid=default_t_grid(centre, 50, 1.0))
         _assert_live_counts(*layers)
-        B, r_hat = PROTOTYPE["B"], layers[-1]
+        B, C, r_hat = PROTOTYPE["B"], PROTOTYPE["C"], layers[-1]
         if centre == 1.0:  # the rows with a value in the band, at every time
             assert live_calls and all(0 < rows < B and times == 50 for rows, times in live_calls)
         if centre == 30.0:  # every row at the times where R-hat is 0, and more
             assert any(rows == B and times >= np.count_nonzero(r_hat == 0.0) > 0
                        for rows, times in live_calls)
+            # the certificate spans the fast times only, so the infinite H-hat
+            # at the top of the grid does not stop it deciding elements
+            assert 0 < _elements(product_rows) < 0.8 * B * C
 
     @pytest.mark.parametrize("direction", ["rising", "falling"])
     def test_start_hazards_past_the_normal_floats_send_their_rows_live(self, direction,
@@ -558,12 +590,65 @@ class TestHazardPath:
         # the hazard path decided the curve: the live kernel saw a few rows, if any
         assert all(rows < 200 for rows, _ in live_calls)
 
-    def test_all_exponential_series_takes_the_hazard_path(self, live_calls):
+    def test_all_exponential_series_takes_the_hazard_path(self, live_calls, product_rows):
         layers = _curve_layers("series(c1,c2,c3)", [EXPONENTIAL] * 3,
                                [ComponentModel(EXPONENTIAL, rate=0.2)] * 3, 5, 300, 200, 6,
                                default_t_grid(1.0, 20))
         _assert_live_counts(*layers)
         assert all(rows < 300 for rows, _ in live_calls)
+        # t cancels in R2 <= R-hat: each log sum runs parallel to the band, so
+        # the certificate decides every element and the product runs on none
+        assert _elements(product_rows) == 0
+
+    def test_a_convex_log_sum_is_not_certified_by_its_ends(self, live_calls, product_rows):
+        # two components, one falling and one rising along the grid: every sum
+        # is far above H-hat = 1 at both ends and far below it in the middle,
+        # which only the tangent at an end, not the two end values, can tell
+        G = 21
+        shifts = np.array([0.0, 0.5, -0.5, 1.0])[:, None]
+        comps, vals1, aux2 = _weibull_layers(np.linspace(3.0, -12.0, G) + shifts,
+                                             np.linspace(-12.0, 3.0, G) + shifts)
+        threshold = np.full(G, math.exp(-1.0))
+        _assert_live_counts(SERIES2, comps, vals1, aux2, threshold)
+        assert _elements(product_rows) == 4 * 50 and not live_calls
+        u_counts, _, _ = _second_layer(SERIES2, comps, vals1, aux2, threshold)
+        assert (u_counts[:, [0, -1]] == 50).all() and (u_counts[:, G // 2] == 0).all()
+
+    @pytest.mark.parametrize("bend", [1.0, -1.0], ids=["bump", "dip"])
+    def test_a_band_bent_between_the_ends_is_not_certified_by_its_chord(self, bend,
+                                                                         product_rows):
+        # constant log hazards against an H-hat that bends between equal ends:
+        # a sum between its end and middle values changes side in the middle,
+        # so the band's bend away from its chord must keep it uncertified
+        G = 21
+        comps, vals1, aux2 = _weibull_layers(np.repeat([[-0.2], [0.0], [0.2], [0.4]], G, axis=1))
+        h_hat = 1.0 + bend * 0.5 * np.sin(np.pi * np.arange(G) / (G - 1))
+        _assert_live_counts(SINGLE, comps, vals1, aux2, np.exp(-h_hat))
+        u_counts, _, _ = _second_layer(SINGLE, comps, vals1, aux2, np.exp(-h_hat))
+        assert (u_counts[:, G // 2] != u_counts[:, 0]).any()
+        assert _elements(product_rows) > 0
+
+    def test_an_element_within_the_margin_runs_the_product(self, product_rows):
+        # a sum 1e-7 above H-hat (relative) lies outside the band but inside
+        # the certificate's margin, so only its element goes to the product
+        G, j, k = 11, 2, 17
+        comps, vals1, aux2 = _weibull_layers(np.repeat([[-0.2], [0.0], [0.2], [0.4]], G, axis=1))
+        z2, m2 = aux2[0]
+        h = math.exp(float(transform_scale(WEIBULL, vals1[0][j, 0], z2[k], m2[k])))
+        threshold = np.full(G, math.exp(-h * (1.0 - 1e-7)))
+        _assert_live_counts(SINGLE, comps, vals1, aux2, threshold)
+        assert [rows.tolist() for rows in product_rows] == [[j]]
+
+    def test_memory_of_a_curve_stays_bounded(self, product_rows):
+        # a curve on the running product alone peaked at 3.84 MB here: its
+        # 2s + 1 block buffers, the first layer and the counts.  The
+        # certificate's two more block buffers and the pending elements, at
+        # most half a block per component, may add up to 2 MB.
+        data = make_data(PROTOTYPE["models"], 5, 2)
+        peak = traced_peak(lambda: bootstrap_curve("dbpt", SERIES3, [WEIBULL] * 3, data,
+                                                   default_t_grid(1.0, 50, 1.0), 0.1, B=1000,
+                                                   C=500, rng=1))
+        assert product_rows and peak < (3.84 + 2.0) * 2 ** 20
 
     @pytest.mark.parametrize("grid", [np.linspace(0.5, 2.0, 10), np.geomspace(2.0, 0.5, 10)],
                              ids=["linear", "decreasing"])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
-from relbound import simulation
+from relbound import cli, simulation
 from relbound.distributions import (
     EXPONENTIAL,
     LOGNORMAL,
@@ -585,6 +586,32 @@ class TestCurvesAndBendBack:
         for method in ("bb", "dbp"):
             curve = lcl_curve(method, node, [WEIBULL] * 2, data, grid, 0.1, 50, 10, seed=2)
             assert curve.shape == (5,)
+
+
+# SHA-256 of the report.json bytes of SETUP_ONCE_CONFIG, as written when each
+# study built its setup twice (once to check its config, once to run)
+SETUP_ONCE_CONFIG = dict(structure="series(c1,c2,c3)", t=1.0, n_values=(5,),
+                         methods=("bp", "dbpt"), family="weibull", target_reliability=0.9,
+                         B=100, C=50, replications=4, seed=3, bend_back=True,
+                         bend_back_points=8)
+SETUP_ONCE_REPORT_SHA256 = "63e78fa303ae4a21ba71356619f731c641a8f44097771d3412d54ce1e3b70bb4"
+
+
+def test_each_study_builds_its_setup_once(monkeypatch):
+    calls = {"parse_structure": 0, "solve_identical_components": 0}
+    for name in calls:
+        def counting(*args, _run=getattr(simulation, name), _name=name):
+            calls[_name] += 1
+            return _run(*args)
+
+        monkeypatch.setattr(simulation, name, counting)
+    config = StudyConfig(**SETUP_ONCE_CONFIG)
+    report = run_coverage_study(config)
+    runtime_scaling_probe(replace(config, n_values=(5, 6), methods=("dbpt",)), repeats=1)
+    # the config and the study share one setup, and the probe's config has its own
+    assert calls == {"parse_structure": 2, "solve_identical_components": 2}
+    payload = cli.dumps(report.to_json_dict()).encode()
+    assert hashlib.sha256(payload).hexdigest() == SETUP_ONCE_REPORT_SHA256
 
 
 class TestRuntimeProbe:
