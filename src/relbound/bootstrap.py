@@ -64,7 +64,7 @@ from typing import Sequence
 import numpy as np
 
 from .censoring import impute, type2_censor
-from .distributions import ComponentModel, component_reliability, mission_grid, sample_lifetimes
+from .distributions import ComponentModel, mission_grid, sample_lifetimes
 from .estimators import moment_estimate
 from .rng import generator, seed_entropy
 from .resampling import gen_aux_batch, log_hazard_slope, transform_scale
@@ -106,8 +106,14 @@ def check_bootstrap_settings(method, alpha, B, C):
 
 
 def _r_hat(structure, comps, t) -> np.ndarray:
-    """Plug-in system reliability at each time, from the fitted components."""
-    return np.asarray(eval_structure(structure, [component_reliability(c, t) for c in comps]))
+    """Plug-in system reliability at each time, from the fitted components.
+
+    Each component's reliability is written over its fresh scale values, so
+    the structure function runs in place over arrays this call owns.
+    """
+    scales = [c.family.scale(t, **c.params) for c in comps]
+    return eval_structure(structure, [c.family.reliability(v, out=v)
+                                      for c, v in zip(comps, scales)])
 
 
 def _boundary_hits(r: np.ndarray, axis=None, masks=(None, None)):
@@ -138,11 +144,11 @@ def _first_layer(structure, comps, scales, aux):
     for comp, scale, (z_bar, m) in zip(comps, scales, aux):
         family = comp.family
         vals = transform_scale(family, scale[None, :], z_bar[:, None], m[:, None])
-        r = family.reliability(vals)
+        r = family.reliability(vals, out=np.empty_like(vals))
         hits = hits + _boundary_hits(r, axis=0)
         vals_list.append(vals)
         r_list.append(r)
-    return vals_list, np.asarray(eval_structure(structure, r_list)), hits
+    return vals_list, eval_structure(structure, r_list), hits
 
 
 def _select_dbpt(r_star: np.ndarray, u_counts: np.ndarray, B: int, C: int, alpha: float):

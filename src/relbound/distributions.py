@@ -216,7 +216,8 @@ class Generic(LifetimeFamily):
     Callables must accept numpy arrays.  Each call hands them a private float
     copy of its argument, so a callable may write into its input without
     touching the caller's array; ``sf(x, out=...)`` copies the callable's
-    result into ``out``.
+    result into ``out``.  A cdf or sf value that is NaN or outside [0, 1] is
+    refused with ``EstimationError``, so no method computes on it.
     """
 
     def __init__(self, cdf, quantile, sample, kappa1, kappa2,
@@ -236,12 +237,20 @@ class Generic(LifetimeFamily):
         self._sf = sf
         self._isf = isf
 
+    def _probability(self, name, value):
+        """The result of callable ``name`` as a float array, refused if NaN or outside [0, 1]."""
+        p = np.asarray(value, dtype=float)
+        if not np.all((p >= 0.0) & (p <= 1.0)):
+            raise EstimationError(f"family {self.name!r}: {name} gave a value that is NaN or "
+                                  "outside [0, 1]")
+        return p
+
     def cdf(self, x):
-        return self._cdf(np.array(x, dtype=float))
+        return self._probability("cdf", self._cdf(np.array(x, dtype=float)))
 
     def sf(self, x, out=None):
         if self._sf is not None:
-            r = self._sf(np.array(x, dtype=float))
+            r = self._probability("sf", self._sf(np.array(x, dtype=float)))
         else:
             r = 1.0 - self.cdf(x)
         if out is None:

@@ -415,10 +415,8 @@ def _delta_fit(families, datasets, censored_masks=None):
     return fitted
 
 
-def _delta_raw(structure, fitted, t, alpha, form) -> tuple:
-    r_hats = [component_reliability(est, t) for est, _ in fitted]
-    r_system = eval_reliability(structure, r_hats)
-    partials = structure_partials(structure, r_hats)
+def _delta_raw(fitted, t, partials, r_system, alpha, form) -> float:
+    """The LCL at time ``t`` from psi there (``r_system``) and its (s,) ``partials``."""
     var = 0.0
     for i, (est, info) in enumerate(fitted):
         grad = partials[i] * _reliability_gradient(est, t)
@@ -431,10 +429,8 @@ def _delta_raw(structure, fitted, t, alpha, form) -> tuple:
     se = math.sqrt(max(var, 0.0))
     z = float(ndtri(1.0 - alpha))
     if form == "paper":
-        raw = 2.0 * r_system - z * se
-    else:
-        raw = r_system - z * se
-    return raw, r_system
+        return 2.0 * r_system - z * se
+    return r_system - z * se
 
 
 def check_delta_settings(alpha) -> None:
@@ -444,14 +440,21 @@ def check_delta_settings(alpha) -> None:
 
 
 def _delta_at(structure, families, datasets, times, alpha, form, censored_masks):
-    """One MLE fit, then ``(raw, r_hat)`` at each time; the checks of ``delta_lcl``."""
+    """One MLE fit, then ``(raw, r_hat)`` at each time; the checks of ``delta_lcl``.
+
+    psi and its partials are evaluated at every time in one call each.
+    """
     check_delta_settings(alpha)
     times = mission_grid(times)
     if form not in ("paper", "standard"):
         raise ValueError("form must be 'paper' or 'standard'")
     check_component_lists(structure, families, datasets)
     fitted = _delta_fit(families, datasets, censored_masks)
-    return fitted, [_delta_raw(structure, fitted, t, alpha, form) for t in times.tolist()]
+    r_hats = [component_reliability(est, times) for est, _ in fitted]
+    r_system = eval_reliability(structure, r_hats).tolist()
+    partials = structure_partials(structure, r_hats).T
+    return fitted, [(_delta_raw(fitted, t, p, r, alpha, form), r)
+                    for t, p, r in zip(times.tolist(), partials, r_system)]
 
 
 def delta_lcl(structure: StructureNode, families: Sequence[LifetimeFamily],

@@ -270,66 +270,55 @@ def parse_structure(text: str) -> StructureNode:
 # --- evaluation ------------------------------------------------------------
 
 
-def eval_structure(node: StructureNode, r: Sequence, scratch=None) -> "np.ndarray | float":
-    """Structure function over per-component values (scalars or broadcastable arrays).
+def eval_structure(node: StructureNode, r: Sequence, scratch=None) -> np.ndarray:
+    """Structure function, evaluated in place over per-component arrays the caller owns.
 
-    The unchecked evaluator behind :func:`eval_reliability`, for hot paths
-    whose inputs are valid by construction: it neither validates the tree nor
-    checks that the values lie in [0, 1], and returns whatever type the
-    arithmetic yields.
-
-    Without ``scratch`` every node's value is a fresh result.  With it, the
-    values in ``r`` are equal-shape float arrays that the caller owns, and
-    the tree is evaluated in place: each node's value is written into the
-    array of its leftmost component, which is also where the result is.
-    Every component appears once in a valid tree, so each array is read by
-    one leaf only.  ``scratch`` holds at least :func:`scratch_rows` more
-    arrays of that shape for the k-out-of-n recursion.  Both forms do the same
-    multiplications and additions in the same order, so their results are
-    equal bit for bit.
+    The unchecked evaluator behind :func:`eval_reliability` and
+    :func:`structure_partials`, for hot paths whose inputs are valid by
+    construction: it neither validates the tree nor checks that the values
+    lie in [0, 1].  ``r`` holds one float array per component, all of one
+    shape (0-d arrays included), evaluated elementwise.  The caller owns
+    them and hands them over: each node's value is written into the array of
+    its leftmost component, which is also where the result is, and the other
+    arrays are overwritten along the way.  Every component appears once in a
+    valid tree, so each array is read by one leaf only.  ``scratch`` holds at
+    least :func:`scratch_rows` more arrays of that shape for the k-out-of-n
+    recursion; without it they are allocated.
     """
     if isinstance(node, ComponentRef):
         return r[node.index]
+    if scratch is None:
+        scratch = [np.empty_like(r[0]) for _ in range(scratch_rows(node))]
     vals = [eval_structure(child, r, scratch) for child in node.children]
-    # each step below is one numpy operation, written into an owned array in
-    # place or else into a fresh result
-    own = scratch is not None
+    # each step below is one numpy operation written into an owned array
     first = vals[0]
     if isinstance(node, Series):
-        out = first
         for v in vals[1:]:
-            out = np.multiply(out, v, out=first) if own else out * v
-        return out
+            np.multiply(first, v, out=first)
+        return first
     if isinstance(node, Parallel):
-        out = np.subtract(1.0, first, out=first) if own else 1.0 - first
+        np.subtract(1.0, first, out=first)
         for v in vals[1:]:
-            out = (np.multiply(out, np.subtract(1.0, v, out=v), out=first) if own
-                   else out * (1.0 - v))
-        return np.subtract(1.0, out, out=first) if own else 1.0 - out
+            np.multiply(first, np.subtract(1.0, v, out=v), out=first)
+        return np.subtract(1.0, first, out=first)
     # KOutOfN: dp[j] is P(exactly j of the children processed so far work),
     # updated from high j to low j so that each dp[j - 1] is read before it
     # is overwritten
     m = len(vals)
-    if own:
-        dp, fail, term = list(scratch[:m + 1]), scratch[m + 1], scratch[m + 2]
-        dp[0].fill(1.0)
-    else:
-        dp = [1.0] + [None] * m
+    dp, fail, term = scratch[:m + 1], scratch[m + 1], scratch[m + 2]
+    dp[0].fill(1.0)
     for i, v in enumerate(vals):
-        fail = np.subtract(1.0, v, out=fail) if own else 1.0 - v
-        dp[i + 1] = np.multiply(dp[i], v, out=dp[i + 1]) if own else dp[i] * v
+        np.subtract(1.0, v, out=fail)
+        np.multiply(dp[i], v, out=dp[i + 1])
         for j in range(i, 0, -1):
-            dp[j] = (np.add(np.multiply(dp[j], fail, out=dp[j]),
-                            np.multiply(dp[j - 1], v, out=term), out=dp[j]) if own
-                     else dp[j] * fail + dp[j - 1] * v)
-        dp[0] = np.multiply(dp[0], fail, out=dp[0]) if own else dp[0] * fail
-    tail = dp[node.k]
-    if own:  # the children are read, so the leftmost one's array is free for the result
-        np.copyto(first, tail)
-        tail = first
+            np.add(np.multiply(dp[j], fail, out=dp[j]), np.multiply(dp[j - 1], v, out=term),
+                   out=dp[j])
+        np.multiply(dp[0], fail, out=dp[0])
+    # the children are read, so the leftmost one's array is free for the result
+    np.copyto(first, dp[node.k])
     for j in range(node.k + 1, m + 1):
-        tail = np.add(tail, dp[j], out=first) if own else tail + dp[j]
-    return tail
+        np.add(first, dp[j], out=first)
+    return first
 
 
 def scratch_rows(node: StructureNode) -> int:
@@ -345,8 +334,11 @@ def scratch_rows(node: StructureNode) -> int:
     return max(own, *(scratch_rows(child) for child in node.children))
 
 
-def _check_reliabilities(node: StructureNode, r) -> list:
-    """Validate the tree and every value of ``r``; the values of its ``s`` components."""
+def _check_reliabilities(node: StructureNode, r) -> tuple:
+    """Validate the tree and every value of ``r``; the values of its ``s`` components.
+
+    They are float arrays broadcast to one shape, views of the caller's values.
+    """
     s = num_components(node)
     values = [np.asarray(v, dtype=float) for v in r]
     if len(values) < s:
@@ -354,20 +346,19 @@ def _check_reliabilities(node: StructureNode, r) -> list:
     for i, v in enumerate(values):
         if not np.all((v >= 0.0) & (v <= 1.0)):
             raise ValueError(f"reliability of component {i} outside [0, 1]")
-    return values[:s]
+    return np.broadcast_arrays(*values[:s])
 
 
 def eval_reliability(node: StructureNode, r) -> "float | np.ndarray":
     """System reliability ``psi(r_1, ..., r_s)``.
 
     ``r`` holds one reliability per component; entries may be scalars or
-    equal-shape arrays (evaluated elementwise).
+    arrays that broadcast together, evaluated elementwise.  The caller's
+    values are left as they are: the structure function runs over one
+    broadcast copy of them.  All scalars give a float, else an array.
     """
-    values = _check_reliabilities(node, r)
-    out = eval_structure(node, values)
-    if all(np.ndim(v) == 0 for v in values):
-        return float(out)
-    return np.asarray(out)
+    out = eval_structure(node, [v.copy() for v in _check_reliabilities(node, r)])
+    return float(out) if out.ndim == 0 else out
 
 
 def eval_reliability_bruteforce(node: StructureNode, r) -> float:
@@ -398,18 +389,20 @@ def eval_reliability_bruteforce(node: StructureNode, r) -> float:
 
 
 def structure_partials(node: StructureNode, r) -> np.ndarray:
-    """Partial derivatives d(psi)/d(r_i) by pivotal decomposition.
+    """Partial derivatives d(psi)/d(r_i) by pivotal decomposition, one row per component.
 
     psi is multilinear in each r_i, as every component appears exactly once
     in the tree, making ``psi(r_i := 1) - psi(r_i := 0)`` the exact partial.
+    ``r`` is read as :func:`eval_reliability` reads it and left as it is;
+    row i has the broadcast shape of its values.  All 2s conditioned points
+    are evaluated in one batch.
     """
-    base = [float(v) for v in _check_reliabilities(node, r)]
+    base = np.stack(_check_reliabilities(node, r))
     s = len(base)
-    partials = np.empty(s)
-    for i in range(s):
-        hi = list(base)
-        lo = list(base)
-        hi[i] = 1.0
-        lo[i] = 0.0
-        partials[i] = eval_structure(node, hi) - eval_structure(node, lo)
-    return partials
+    # points[c, h, i]: component c's value where component i is set to 1 (h = 0) or 0 (h = 1)
+    points = np.broadcast_to(base[:, None, None], (s, 2) + base.shape).copy()
+    ids = np.arange(s)
+    points[ids, 0, ids] = 1.0
+    points[ids, 1, ids] = 0.0
+    psi = eval_structure(node, points)
+    return psi[0] - psi[1]

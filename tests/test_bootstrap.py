@@ -430,6 +430,22 @@ class TestSecondLayerKernel:
         assert a.to_dict() | {"per_component_estimates": None} == (
             b.to_dict() | {"per_component_estimates": None})
 
+    def test_sf_returning_a_read_only_view_gives_the_same_lcls(self):
+        # the structure function runs in place, so every array it is given must
+        # be the library's own, whatever the callable returns
+        def family(name, sf):
+            return Generic(cdf=ndtr, quantile=ndtri, sf=sf, name=name, kappa1=0.0, kappa2=1.0,
+                           sample=lambda shape, rng: rng.standard_normal(shape))
+
+        plain = family("normal-sf", lambda x: ndtr(-x))
+        read_only = family("read-only-sf", lambda x: np.broadcast_to(ndtr(-x), x.shape))
+        data = make_data([ComponentModel(plain, mu=0.4, sigma=0.8)] * 3, 8, 6)
+        for method in ("bp", "bb", "dbpt", "dbp"):
+            a = compute_lcl(method, SERIES3, [plain] * 3, data, 1.0, 0.1, 100, 30, 2)
+            b = compute_lcl(method, SERIES3, [read_only] * 3, data, 1.0, 0.1, 100, 30, 2)
+            assert a.to_dict() | {"per_component_estimates": None} == (
+                b.to_dict() | {"per_component_estimates": None})
+
     def test_diagnostics_off_keeps_counts(self):
         # over several times only the counts are kept, each column equal to its one-point call
         node = parse_structure(KERNEL_STRUCTURES[-1])

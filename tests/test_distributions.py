@@ -17,6 +17,7 @@ from relbound.distributions import (
     sample_lifetimes,
     time_at_reliability,
 )
+from relbound.errors import EstimationError
 
 
 def logistic_family():
@@ -211,6 +212,29 @@ class TestStandardized:
         out = getattr(fam, name)(arg)
         assert np.array_equal(arg, kept)
         assert np.allclose(out, getattr(logistic, name)(kept), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, 1.5])
+    @pytest.mark.parametrize("name", ["cdf", "sf"])
+    def test_generic_refuses_a_probability_nan_or_outside_the_unit_interval(self, name, bad):
+        logistic = logistic_family()
+        right = getattr(logistic, name)
+
+        def broken(x):
+            return np.where(x > 0.0, bad, right(x))
+
+        fam = Generic(**{"cdf": logistic.cdf, name: broken}, quantile=logistic.quantile,
+                      sample=logistic.sample_standardized, kappa1=0.0,
+                      kappa2=logistic.kappa2, name="broken")
+        below = np.array([-2.0, -0.5])
+        assert np.array_equal(getattr(fam, name)(below), right(below))
+        message = f"family 'broken': {name} gave a value that is NaN or outside \\[0, 1\\]"
+        calls = [lambda: getattr(fam, name)(np.array([-1.0, 1.0])), lambda: getattr(fam, name)(1.0),
+                 lambda: fam.reliability(np.array([1.0]), out=np.empty(1))]
+        if name == "cdf":  # the sf is derived from the cdf
+            calls.append(lambda: fam.sf(np.array([1.0])))
+        for call in calls:
+            with pytest.raises(EstimationError, match=message):
+                call()
 
     def test_quantile_rejects_boundary(self):
         with pytest.raises(ValueError):

@@ -426,8 +426,8 @@ class TestDeltaLcl:
         assert math.isfinite(delta_lcl(node, [logistic] * 2, data, 1.0, 0.1).raw_value)
         with pytest.raises(EstimationError, match="standard error at t=1e-200 is not finite"):
             delta_lcl(node, [logistic] * 2, data, 1e-200, 0.1)
-        with pytest.raises(EstimationError, match="not finite"):
-            delta_curve(node, [logistic] * 2, data, [1e-200, 1.0], 0.1, form="standard")
+        with pytest.raises(EstimationError, match="standard error at t=1e-200 is not finite"):
+            delta_curve(node, [logistic] * 2, data, [1e-200, 1e-250, 1.0], 0.1, form="standard")
 
     def test_alpha_validation(self):
         node = parse_structure("series(c1)")
@@ -436,20 +436,27 @@ class TestDeltaLcl:
 
 
 class TestDeltaCurve:
-    def test_equals_scalar_at_every_time_with_censoring(self):
+    @pytest.mark.parametrize("text, family", [
+        ("koutofn(2;c1,...,c5)", WEIBULL),
+        ("series(c1,...,c16)", WEIBULL),
+        ("parallel(c1,c2,c3)", EXPONENTIAL),
+    ], ids=["koutofn2of5-weibull", "series16-weibull", "parallel3-exponential"])
+    def test_equals_scalar_at_every_time_with_censoring(self, text, family):
         from relbound.censoring import type2_censor
+        from relbound.simulation import default_t_grid, solve_identical_components
 
-        node = parse_structure("parallel(c1,c2)")
+        node = parse_structure(text)
+        models, _ = solve_identical_components(node, family, 0.9, 1.0)
         rng = np.random.default_rng(8)
-        censored = [type2_censor(sample_lifetimes(ComponentModel(WEIBULL, mu=0.5, sigma=0.8),
-                                                  12, rng), 9) for _ in range(2)]
+        censored = [type2_censor(sample_lifetimes(m, 12, rng), 9) for m in models]
         times = [c.times for c in censored]
         masks = [c.censored for c in censored]
-        grid = np.array([0.5, 1.0, 2.0])
+        families = [family] * len(models)
+        grid = default_t_grid(1.0, 50, 1.0)
         for form in ("paper", "standard"):
-            curve = delta_curve(node, [WEIBULL] * 2, times, grid, 0.1, form=form,
+            curve = delta_curve(node, families, times, grid, 0.1, form=form,
                                 censored_masks=masks)
-            scalar = [delta_lcl(node, [WEIBULL] * 2, times, t, 0.1, form=form,
+            scalar = [delta_lcl(node, families, times, t, 0.1, form=form,
                                 censored_masks=masks).raw_value for t in grid]
             assert curve.tobytes() == np.array(scalar).tobytes()
 

@@ -21,9 +21,10 @@ from relbound.distributions import (
     component_reliability,
     sample_lifetimes,
 )
-from relbound.errors import ConfigError, RelboundError, StructureParseError
+from relbound.errors import ConfigError, EstimationError, RelboundError, StructureParseError
 from relbound.results import LclResult
 from relbound.simulation import (
+    METHODS,
     CoverageReport,
     LclRequest,
     MethodCell,
@@ -501,6 +502,24 @@ class TestCoverageStudy:
         recensored = run_coverage_study(StudyConfig(**base, reimpute_in_resamples=True))
         assert plain.cells[0].failures == recensored.cells[0].failures == 0
         assert plain.cells[0].q_lcl != recensored.cells[0].q_lcl
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_generic_whose_cdf_gives_nan_is_refused_by_every_method(method):
+    # bp and dbpt used to clamp the NaN to an LCL of 0.0, bb and every bootstrap
+    # curve to give NaN, and delta to raise a stray ValueError
+    nan_cdf = Generic(cdf=lambda x: np.full_like(x, np.nan), quantile=ndtri,
+                      sample=lambda shape, rng: rng.standard_normal(shape),
+                      pdf=lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
+                      kappa1=0.0, kappa2=1.0, name="nan-cdf")
+    node = parse_structure("series(c1,c2)")
+    data = [sample_lifetimes(ComponentModel(LOGNORMAL, mu=1.0, sigma=0.5), 10, rng=i)
+            for i in range(2)]
+    message = "family 'nan-cdf': cdf gave a value that is NaN"
+    with pytest.raises(EstimationError, match=message):
+        compute_lcl(method, node, [nan_cdf] * 2, data, 1.0, 0.1, 20, 10, 3)
+    with pytest.raises(EstimationError, match=message):
+        lcl_curve(method, node, [nan_cdf] * 2, data, [0.5, 1.0, 2.0], 0.1, 20, 10, 3)
 
 
 class TestCurvesAndBendBack:

@@ -23,6 +23,50 @@ from relbound.structures import (
 )
 
 
+def _reference(node, r):
+    """The structure function by plain ``*``, ``+`` and ``-`` on fresh values.
+
+    The evaluator's steps in the same order, so its results must equal this
+    bit for bit.
+    """
+    if isinstance(node, ComponentRef):
+        return r[node.index]
+    vals = [_reference(child, r) for child in node.children]
+    if isinstance(node, Series):
+        out = vals[0]
+        for v in vals[1:]:
+            out = out * v
+        return out
+    if isinstance(node, Parallel):
+        out = 1.0 - vals[0]
+        for v in vals[1:]:
+            out = out * (1.0 - v)
+        return 1.0 - out
+    dp = [1.0] + [None] * len(vals)
+    for i, v in enumerate(vals):
+        fail = 1.0 - v
+        dp[i + 1] = dp[i] * v
+        for j in range(i, 0, -1):
+            dp[j] = dp[j] * fail + dp[j - 1] * v
+        dp[0] = dp[0] * fail
+    out = dp[node.k]
+    for p in dp[node.k + 1:]:
+        out = out + p
+    return out
+
+
+def _leftmost(node) -> int:
+    while not isinstance(node, ComponentRef):
+        node = node.children[0]
+    return node.index
+
+
+def _values(rng, s, shape):
+    """``s`` float arrays of ``shape``, about one value in ten exactly 0 or 1."""
+    return [np.where(rng.random(shape) < 0.1, rng.integers(0, 2, shape), rng.random(shape))
+            for _ in range(s)]
+
+
 class TestParse:
     def test_series(self):
         node = parse_structure("series(c1,c2,c3)")
@@ -198,21 +242,30 @@ class TestAgainstBruteForce:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 4),
            st.integers(1, 6))
     @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_in_place_equals_fresh_bit_for_bit(self, seed, s, rows, C):
-        # nested series, parallel and k-out-of-n trees on (rows, C) arrays, some values 0 or 1
+    def test_equals_reference_recursion_bit_for_bit(self, seed, s, rows, C):
+        # nested series, parallel and k-out-of-n trees on (rows, C) arrays
         rng = np.random.default_rng(seed)
         node = random_tree(rng, s)
-        r = [np.where(rng.random((rows, C)) < 0.1, rng.integers(0, 2, (rows, C)),
-                      rng.random((rows, C))) for _ in range(s)]
-        owned = [v.copy() for v in r]
-        fresh = eval_structure(node, r)
-        assert all(np.array_equal(a, b) for a, b in zip(r, owned))  # the caller's values kept
-        result = eval_structure(node, owned, np.empty((scratch_rows(node), rows, C)))
-        assert np.array_equal(result, fresh)
-        leftmost = node
-        while not isinstance(leftmost, ComponentRef):
-            leftmost = leftmost.children[0]
-        assert result is owned[leftmost.index]
+        r = _values(rng, s, (rows, C))
+        expected = _reference(node, r)
+        for scratch in (None, np.empty((scratch_rows(node), rows, C))):
+            owned = [v.copy() for v in r]
+            result = eval_structure(node, owned, scratch)
+            assert result is owned[_leftmost(node)]
+            assert result.tobytes() == expected.tobytes()
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_zero_dimensional_equals_python_floats_bit_for_bit(self, seed, s):
+        rng = np.random.default_rng(seed)
+        node = random_tree(rng, s)
+        r = _values(rng, s, ())
+        expected = _reference(node, [float(v) for v in r])
+        owned = [np.array(v, dtype=float) for v in r]
+        result = eval_structure(node, owned)
+        assert result is owned[_leftmost(node)] and result.ndim == 0
+        assert result.tobytes() == np.float64(expected).tobytes()
+        assert eval_reliability(node, [float(v) for v in r]) == expected
 
     def test_monotone_in_each_component(self):
         rng = np.random.default_rng(31)
@@ -273,6 +326,37 @@ class TestPartials:
                 lo[i] -= h
                 fd = (eval_reliability(node, hi) - eval_reliability(node, lo)) / (2 * h)
                 assert partials[i] == pytest.approx(fd, abs=1e-6)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 8))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_grid_equals_scalar_calls_bit_for_bit(self, seed, s, G):
+        # each scalar call is psi(r_i := 1) - psi(r_i := 0) by the reference
+        rng = np.random.default_rng(seed)
+        node = random_tree(rng, s)
+        r = _values(rng, s, (G,))
+        partials = structure_partials(node, r)
+        assert partials.shape == (s, G)
+        for g in range(G):
+            point = [float(v[g]) for v in r]
+            scalar = structure_partials(node, point)
+            assert partials[:, g].tobytes() == scalar.tobytes()
+            pivots = [_reference(node, point[:i] + [1.0] + point[i + 1:])
+                      - _reference(node, point[:i] + [0.0] + point[i + 1:]) for i in range(s)]
+            assert scalar.tobytes() == np.array(pivots).tobytes()
+
+    def test_callers_values_kept_and_scalars_broadcast(self):
+        node = parse_structure("koutofn(2; c1, parallel(c2, c3), c4)")
+        shared = np.array([0.9, 0.5, 1.0])
+        r = [shared, 0.8, np.array([0.3, 0.6, 0.0]), shared]
+        kept = [np.copy(v) for v in r]
+        rel = eval_reliability(node, r)
+        partials = structure_partials(node, r)
+        assert all(np.array_equal(a, b) for a, b in zip(r, kept))
+        assert rel.shape == (3,) and partials.shape == (4, 3)
+        for g in range(3):
+            point = [float(np.broadcast_to(v, (3,))[g]) for v in r]
+            assert rel[g] == eval_reliability(node, point)
+            assert partials[:, g].tobytes() == structure_partials(node, point).tobytes()
 
     def test_repeated_component_rejected(self):
         node = Series((ComponentRef(0), ComponentRef(0)))

@@ -12,7 +12,9 @@ warm-up curve, then ``bootstrap_curve("dbpt", ...)`` on
 ``default_t_grid(1.0, 50, 1.0)`` with B = 1000, C = 500 for each of
 ``--datasets`` n = 5 datasets, and prints one JSON object: per system the
 median ms per grid point and the median ``getrusage`` minor faults per
-curve.  Alternate processes of the two sides to compare them.
+curve.  It also times ``delta_curve`` on the same grid and datasets, and
+prints its median ms per grid point.  Alternate processes of the two sides
+to compare them.
 """
 
 from __future__ import annotations
@@ -51,20 +53,28 @@ def main(argv=None) -> int:
     for text, name, target in SYSTEMS:
         node, family = rb.parse_structure(text), rb.family_from_name(name)
         models, _ = rb.solve_identical_components(node, family, target, 1.0)
-        ms, faults = [], []
+        families = [family] * len(models)
+        ms, faults, delta_ms = [], [], []
         for seed in range(-1, args.datasets):  # seed -1 is the warm-up
             data = [rb.sample_lifetimes(m, 5, generator(abs(seed), 0, i))
                     for i, m in enumerate(models)]
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
-            rb.bootstrap_curve("dbpt", node, [family] * len(models), data, grid, 0.1, 1000, 500,
+            rb.bootstrap_curve("dbpt", node, families, data, grid, 0.1, 1000, 500,
                                100 + abs(seed))
             elapsed = time.perf_counter() - start
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            start = time.perf_counter()
+            rb.delta_curve(node, families, data, grid, 0.1)
+            delta_elapsed = time.perf_counter() - start
             if seed >= 0:
                 ms.append(elapsed * 1e3 / grid.size)
-                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        out[f"{text} {name}" + ("" if target == 0.9 else f" R={target:g}")] = {"ms_per_point": round(statistics.median(ms), 2),
-                                 "minflt_per_curve": statistics.median(faults)}
+                faults.append(after - before)
+                delta_ms.append(delta_elapsed * 1e3 / grid.size)
+        out[f"{text} {name}" + ("" if target == 0.9 else f" R={target:g}")] = {
+            "ms_per_point": round(statistics.median(ms), 2),
+            "minflt_per_curve": statistics.median(faults),
+            "delta_ms_per_point": round(statistics.median(delta_ms), 3)}
     print(json.dumps(out))
     return 0
 
