@@ -35,7 +35,11 @@ bound on its error is under a quarter of its guard band.  Over a series,
 R2 <= R_hat is sum_i h_i >= H_hat = -log R_hat, where component i's
 reliability is exp(-h_i).  On a log-uniform grid each second-layer log
 hazard is affine in the grid index, so each hazard is carried along the grid
-by one multiply per step.  Its counts are the live kernel's: every
+by one multiply per step.  Its log ratio per step is the first layer's: the
+row's log-hazard step along the grid times the transform's log-hazard slope
+for the column, so a block runs one transform per component, at the last
+grid point, and its blocks hold half the live kernel's elements.  Its
+counts are the live kernel's: every
 hazard sum outside the band [H_hat (1 - eps) - eps, H_hat (1 + eps) + eps]
 is decided as the live kernel decides it, since the error bound is under a
 quarter of the band, and three rules send the rest to the live kernel, which
@@ -52,8 +56,8 @@ at once when its model lies outside the band by a margin of 1e-6 in log H2
 throughout.  The margin is far above the band, the error bound and the
 certificate's own rounding, so the product would have counted the element
 the same way and found it outside the band; only the other elements,
-compacted with their rows, run the product.  The counts, and the rows sent
-live, are therefore the product's own.
+compacted with their rows, a whole block at a time, run the product.  The
+counts, and the rows sent live, are therefore the product's own.
 """
 
 from __future__ import annotations
@@ -188,9 +192,10 @@ def _second_layer(structure, comps, vals1, aux2, r_hat):
     values equal to ``r_hat``.  The last two are counted only when G == 1, the
     scalar LCL that reports them, and are 0 otherwise.
     """
-    if _takes_hazard_path(structure, comps, vals1, aux2):
-        return _hazard_second_layer(structure, comps, vals1, aux2, r_hat)
-    return _live_second_layer(structure, comps, vals1, aux2, r_hat)
+    model = _hazard_model(structure, comps, vals1, aux2)
+    if model is None:
+        return _live_second_layer(structure, comps, vals1, aux2, r_hat)
+    return _hazard_second_layer(structure, comps, vals1, aux2, r_hat, model)
 
 
 def _live_second_layer(structure, comps, vals1, aux2, r_hat):
@@ -261,50 +266,61 @@ def _is_series(node) -> bool:
         isinstance(node, Series) and all(_is_series(child) for child in node.children))
 
 
-def _hazard_error_bound(comps, vals1, aux2) -> float:
-    """A bound on the hazard path's error in H2, relative to H2 + 1.
+def _hazard_model(structure, comps, vals1, aux2):
+    """The log ratio per grid step of each second-layer hazard, or None for the live kernel.
 
-    It has three parts.  The drift: on a log-uniform grid each first-layer
-    row's log hazards are affine in the grid index, and the second layer's are
-    an affine image of them; the largest deviation of each first layer from
-    its affine fit, times the largest slope of that image, bounds how far that
-    component's geometric hazards leave the live ones, and the sum over the
-    components bounds the largest.  The product's rounding over G steps, with
-    the log hazards, ratios and sum it starts from.  And the live path's own
-    rounding in R.  NaN, from a first layer without a finite log hazard,
-    fails every comparison.
+    A curve over one leaf or a series of leaves, every one of a family with a
+    ``log_hazard``, gets a model when a bound on its error in H2, relative to
+    H2 + 1, is under a quarter of the guard band.  The model is, per
+    component, the (B,) step of each first-layer row's log hazard per grid
+    step down the grid, (first - last) / (G - 1), and the (C,) slopes
+    ``log_hazard_slope`` of the second-layer transform: an element's log
+    ratio is its row's step times its column's slope.
+
+    The bound has three parts.  The drift: on a log-uniform grid each
+    first-layer row's log hazards are affine in the grid index, and the
+    second layer's are their image under the slope, so a component's model
+    leaves its live log hazards by exactly its first layer's deviation from
+    that affine fit times the slope.  The largest deviation, with a few ulps
+    of the largest first-layer log hazard for the fit's rounding and the
+    step's, times the largest slope bounds the largest of them, and the sum
+    over the components bounds the sum.  The product's rounding over G
+    steps, with the log hazards, ratios and sum it starts from.  And the live
+    path's own rounding in R.  NaN, from a first layer without a finite log
+    hazard, fails every comparison.
     """
     G = vals1[0].shape[1]
-    steps = np.arange(G) / (G - 1)
-    drift = 0.0
+    if not (G > 1 and _is_series(structure)
+            and all(hasattr(c.family, "log_hazard") for c in comps)):
+        return None
+    x = np.arange(G) / (G - 1)
+    steps, slopes, drift = [], [], 0.0
     with np.errstate(invalid="ignore", over="ignore"):
         for comp, v1, (_, m2) in zip(comps, vals1, aux2):
             log_h = comp.family.log_hazard(v1)
-            fit = log_h[:, :1] + (log_h[:, -1:] - log_h[:, :1]) * steps
-            # the fit's own rounding is at most a few ulps of the largest log hazard
+            fit = log_h[:, :1] + (log_h[:, -1:] - log_h[:, :1]) * x
+            # the fit's rounding, and the step's (a subtraction, a division and
+            # the slope's multiply), are each a few ulps of the largest log hazard
             deviation = np.max(np.abs(log_h - fit)) + 4 * _ROUNDING * np.max(np.abs(log_h))
-            drift += deviation * np.max(log_hazard_slope(comp.family, m2))
+            slopes.append(log_hazard_slope(comp.family, m2))
+            drift += deviation * np.max(slopes[-1])
+            steps.append((log_h[:, 0] - log_h[:, -1]) / (G - 1))
     s = len(comps)
     # G multiplies and ratio roundings, s - 1 additions, and the rounding of
-    # log hazards and steps, relative to a log hazard of at most
-    # _LOG_HAZARD_MAX that falls by about as much again before it stops
+    # the log hazards the product starts from, relative to a log hazard of at
+    # most _LOG_HAZARD_MAX that falls by about as much again before it stops
     # counting
     product = _ROUNDING * (2 * G + s + 4 * _LOG_HAZARD_MAX)
     # per component an exp of the hazard and an exp of its negative, the s - 1
     # products, and H_hat's own log
     live = _ROUNDING * (3 * s + 2)
-    return float(drift + product + live)
+    return (steps, slopes) if drift + product + live <= _BAND / 4 else None
 
 
-def _takes_hazard_path(structure, comps, vals1, aux2) -> bool:
-    """Whether a second layer is a curve the hazard path decides within its band."""
-    return (vals1[0].shape[1] > 1 and _is_series(structure)
-            and all(hasattr(c.family, "log_hazard") for c in comps)
-            and _hazard_error_bound(comps, vals1, aux2) <= _BAND / 4)
-
-
-def _hazard_second_layer(structure, comps, vals1, aux2, r_hat):
+def _hazard_second_layer(structure, comps, vals1, aux2, r_hat, model):
     """The counts of :func:`_live_second_layer` on a series, in the hazard domain.
+
+    ``model`` is what :func:`_hazard_model` returned for this second layer.
 
     The times whose H_hat the band cannot guard, and the rows that
     :func:`_hazard_counts` cannot decide, go through the live kernel.  Rows and
@@ -315,7 +331,7 @@ def _hazard_second_layer(structure, comps, vals1, aux2, r_hat):
         h_hat = -np.log(r_hat)
     fast = (h_hat > _H_HAT_RANGE[0]) & (h_hat < _H_HAT_RANGE[1])
     u_counts = np.empty((B, G), dtype=np.int64)
-    live_rows = _hazard_counts(comps, vals1, aux2, h_hat, fast, u_counts)
+    live_rows = _hazard_counts(comps, vals1, aux2, model, h_hat, fast, u_counts)
     for rows, times in ((np.ones(B, dtype=bool), ~fast), (live_rows, fast)):
         if rows.any() and times.any():
             counts, _, _ = _live_second_layer(structure, comps,
@@ -325,20 +341,23 @@ def _hazard_second_layer(structure, comps, vals1, aux2, r_hat):
     return u_counts, np.zeros(G, dtype=np.int64), np.zeros(G, dtype=np.int64)
 
 
-def _hazard_counts(comps, vals1, aux2, h_hat, fast, u_counts):
+def _hazard_counts(comps, vals1, aux2, model, h_hat, fast, u_counts):
     """Write the counts at the ``fast`` times into ``u_counts``; the rows it cannot decide.
 
-    Per block of rows, each component's second-layer log hazards at the two
-    grid ends come from ``transform_scale`` and ``log_hazard``.  Each hazard
-    h is modelled as exp(last) at the last grid point, times the ratio
-    exp((first - last)/(G - 1)) per step down the grid.  The certificate
-    (:func:`_certify`) decides most elements at every fast time at once; the
-    rest are compacted, with their rows, and carried down the grid by one
-    multiply per step (:func:`_running_product`).  On an increasing grid the
-    hazards fall along the way, so those that leave the normal floats are
-    small enough for their absolute error not to count.  A row is undecided
-    when its counts at the two edges of the guard band differ, or when a log
-    hazard it starts from leaves +-``_LOG_HAZARD_MAX``.
+    Per block of rows, each component's second-layer log hazards at the last
+    grid point come from ``transform_scale`` and ``log_hazard``, and their
+    log ratios per step down the grid are the rows' first-layer steps times
+    the columns' slopes (``model``).  Each hazard h is modelled as exp(last)
+    at the last grid point, times exp(ratio) per step down the grid.  The
+    certificate (:func:`_certify`) decides most elements at every fast time
+    at once; the rest are compacted, with their rows, and carried down the
+    grid by one multiply per step (:func:`_running_product`).  On an
+    increasing grid the hazards fall along the way, so those that leave the
+    normal floats are small enough for their absolute error not to count.  A
+    row is undecided when its counts at the two edges of the guard band
+    differ, or when a log hazard it starts from leaves +-``_LOG_HAZARD_MAX``.
+    A block holds half the live kernel's elements, and the pending buffer
+    one whole block.
     """
     (B, G), C, s = vals1[0].shape, aux2[0][1].shape[0], len(comps)
     undecided = np.zeros(B, dtype=bool)
@@ -347,23 +366,23 @@ def _hazard_counts(comps, vals1, aux2, h_hat, fast, u_counts):
         return undecided
     band = h_hat * (1.0 - _BAND) - _BAND, h_hat * (1.0 + _BAND) + _BAND, fast
     bounds = _certificate_bounds(*band[:2], times)
-    rows = min(max(1, _BLOCK_ELEMS // C), B)
+    rows = min(max(1, _BLOCK_ELEMS // 2 // C), B)
     bufs = [np.empty((rows, C)) for _ in range(2 * s + 3)]
     mask_bufs = np.empty((4, rows, C), dtype=bool)
-    pending = _Pending(s, max(C, rows * C // 2), band, u_counts, undecided)
+    pending = _Pending(s, rows * C, band, u_counts, undecided)
     with np.errstate(all="ignore"):
         for lo in range(0, B, rows):
             hi = min(lo + rows, B)
             block, masks = [buf[: hi - lo] for buf in bufs], mask_bufs[:, : hi - lo]
             log_h, log_ratios, work = block[:s], block[s:2 * s], block[2 * s:]
-            for comp, v1, (z2, m2), h, ratio in zip(comps, vals1, aux2, log_h, log_ratios):
+            for comp, v1, (z2, m2), step, slope, h, ratio in zip(comps, vals1, aux2, *model,
+                                                                  log_h, log_ratios):
                 family = comp.family
-                for g, buf in ((G - 1, h), (0, ratio)):
-                    family.log_hazard(transform_scale(family, v1[lo:hi, g, None], z2, m2, buf),
-                                      out=buf)
+                family.log_hazard(transform_scale(family, v1[lo:hi, G - 1, None], z2, m2, h),
+                                  out=h)
+                np.multiply(step[lo:hi, None], slope, out=ratio)
                 in_range = np.less_equal(np.abs(h, out=work[0]), _LOG_HAZARD_MAX, out=masks[0])
                 undecided[lo:hi] |= ~in_range.all(axis=1)
-                np.divide(np.subtract(ratio, h, out=ratio), G - 1, out=ratio)
             always, open_ = _certify(log_h, log_ratios, G, times, bounds, work, masks)
             u_counts[lo:hi, times] = np.count_nonzero(always, axis=1)[:, None]
             pending.add(open_, log_h, log_ratios, lo)
@@ -456,11 +475,11 @@ class _Pending:
     """Elements the certificate leaves open, compacted for the running product.
 
     Per component, each element keeps its log hazard at the last grid point
-    and its log ratio per step; elements are kept in row order, whole rows at
-    a time, with the rows and how many elements each has.  There is room for
-    ``size`` elements, at least one row's C; :func:`_running_product` counts
-    each full buffer, and the last one at :meth:`flush`, into ``u_counts``
-    and ``undecided``.
+    and its log ratio per step; elements are kept in row order, a whole block
+    at a time, with the rows and how many elements each has.  There is room
+    for ``size`` elements, one whole block; :func:`_running_product` counts
+    the buffer when the next block would not fit, and the last one at
+    :meth:`flush`, into ``u_counts`` and ``undecided``.
     """
 
     def __init__(self, s, size, band, u_counts, undecided):
@@ -474,22 +493,16 @@ class _Pending:
     def add(self, chosen, log_h, log_ratios, first_row):
         """Append the ``chosen`` elements of a block whose first row is ``first_row``."""
         per_row = np.count_nonzero(chosen, axis=1)
-        r = 0
-        while r < per_row.size:
-            room = self.total.size - self.n
-            q = r + int(np.searchsorted(np.cumsum(per_row[r:]), room, side="right"))
-            if q == r:
-                self.flush()
-                continue
-            k = int(per_row[r:q].sum())
-            mask, into = chosen[r:q].ravel(), slice(self.n, self.n + k)
-            for src, dst in zip(log_h + log_ratios, self.log_h + self.log_ratios):
-                np.compress(mask, src[r:q].ravel(), out=dst[into])
-            some = np.flatnonzero(per_row[r:q])
-            self.rows.append(first_row + r + some)
-            self.counts.append(per_row[r:q][some])
-            self.n += k
-            r = q
+        k = int(per_row.sum())
+        if self.n + k > self.total.size:
+            self.flush()
+        mask, into = chosen.ravel(), slice(self.n, self.n + k)
+        for src, dst in zip(log_h + log_ratios, self.log_h + self.log_ratios):
+            np.compress(mask, src.ravel(), out=dst[into])
+        some = np.flatnonzero(per_row)
+        self.rows.append(first_row + some)
+        self.counts.append(per_row[some])
+        self.n += k
 
     def flush(self):
         """Count the pending elements and empty the buffer."""

@@ -118,30 +118,39 @@ def _load_json(path: str) -> dict:
 
 
 def _read_times_csv(path: Path):
-    """CSV with one failure time per row; optional 'censored' column."""
-    times, flags = [], []
+    """CSV with one failure time per row, and optionally a 0/1 censored flag beside it.
+
+    An optional header names the columns: ``time`` (or ``t``), then
+    ``censored`` if there is a second one.  Every data row has as many cells
+    as the header, or as the first row when there is none, one or two; any
+    other row is a ConfigError naming its line.
+    """
     with open(path, newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
+        reader = csv.reader(handle)
+        rows = [(reader.line_num, [cell.strip() for cell in row]) for row in reader
+                if any(cell.strip() for cell in row)]
+    if rows:
+        try:
+            float(rows[0][1][0])
+        except ValueError:
+            header = [cell.lower() for cell in rows.pop(0)[1]]
+            if header[0] not in ("time", "t") or header[1:] not in ([], ["censored"]):
+                raise ConfigError(f"{path}: unrecognized header {header!r}") from None
+            width = len(header)
+        else:
+            width = len(rows[0][1])
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    start = 0
-    has_flag = False
-    try:
-        float(rows[0][0])
-    except ValueError:
-        header = [cell.strip().lower() for cell in rows[0]]
-        if header[0] not in ("time", "t"):
-            raise ConfigError(f"{path}: unrecognized header {rows[0]!r}")
-        has_flag = len(header) > 1 and header[1] == "censored"
-        start = 1
-    else:
-        has_flag = len(rows[0]) > 1
-    for row in rows[start:]:
+    times, flags = [], []
+    for line, row in rows:
+        if len(row) != width or width > 2:
+            expected = width if width <= 2 else "1 or 2"
+            raise ConfigError(f"{path}: row {line} has {len(row)} cells, expected {expected}")
         try:
             times.append(float(row[0]))
-            flags.append(float(row[1]) if has_flag and len(row) > 1 else 0)
+            flags.append(float(row[1]) if width == 2 else 0)
         except ValueError as exc:
-            raise ConfigError(f"{path}: bad row {row!r}") from exc
+            raise ConfigError(f"{path}: bad row {line}: {row!r}") from exc
     return np.asarray(times), _censored_mask(flags, len(times), path)
 
 

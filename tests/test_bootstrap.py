@@ -267,6 +267,14 @@ class TestDbpOracle:
         with np.errstate(over="ignore"), pytest.raises(EstimationError, match="refused"):
             dbp_lcl_oracle(SINGLE, [EXPONENTIAL], data, 1.0, 0.1, 20, 10, rng=1)
 
+    @pytest.mark.parametrize("n_tilde", [[3, 3], [3, 0, 3]], ids=["wrong-length", "count-0"])
+    def test_recensor_counts_are_checked(self, n_tilde):
+        # one count in 1..n per component, or the oracle refuses before drawing
+        data = make_data([ComponentModel(WEIBULL, mu=1.0, sigma=0.7)] * 3, 5, 1)
+        with pytest.raises(ValueError, match="recensor_n_tilde"):
+            dbp_lcl_oracle(SERIES3, [WEIBULL] * 3, data, 1.0, 0.1, 20, 10, rng=1,
+                           recensor_n_tilde=n_tilde)
+
     def test_b1_selection_collapses_to_the_single_value(self):
         # at B = 1 the shared selection rule can only return the lone
         # first-layer value, whatever the second layer said (the public
@@ -655,16 +663,35 @@ class TestHazardPath:
         _assert_live_counts(SINGLE, comps, vals1, aux2, threshold)
         assert [rows.tolist() for rows in product_rows] == [[j]]
 
-    def test_memory_of_a_curve_stays_bounded(self, product_rows):
-        # a curve on the running product alone peaked at 3.84 MB here: its
-        # 2s + 1 block buffers, the first layer and the counts.  The
-        # certificate's two more block buffers and the pending elements, at
-        # most half a block per component, may add up to 2 MB.
-        data = make_data(PROTOTYPE["models"], 5, 2)
-        peak = traced_peak(lambda: bootstrap_curve("dbpt", SERIES3, [WEIBULL] * 3, data,
+    # series(3): a curve on the running product alone peaked at 3.84 MB here:
+    # its 2s + 1 block buffers, the first layer and the counts.  The
+    # certificate's two more block buffers and the pending elements may add
+    # up to 2 MB.  series(16): the first layer (6.4 MB), 2s + 3 block buffers
+    # of half a live block, 2s + 1 pending buffers of one such block and the
+    # spy's copy of the product's rows peak at 18.6 MB here; blocks of the
+    # live kernel's size would peak at 22.9 MB.
+    @pytest.mark.parametrize("s, bound_mb", [(3, 3.84 + 2.0), (16, 20.5)], ids=["s3", "s16"])
+    def test_memory_of_a_curve_stays_bounded(self, s, bound_mb, product_rows):
+        node = parse_structure(f"series(c1,...,c{s})")
+        data = make_data(PROTOTYPE["models"][:1] * s, 5, 2)
+        peak = traced_peak(lambda: bootstrap_curve("dbpt", node, [WEIBULL] * s, data,
                                                    default_t_grid(1.0, 50, 1.0), 0.1, B=1000,
                                                    C=500, rng=1))
-        assert product_rows and peak < (3.84 + 2.0) * 2 ** 20
+        assert product_rows and peak < bound_mb * 2 ** 20
+
+    def test_a_curve_with_no_fast_time_runs_no_product(self, live_calls, product_rows):
+        # R-hat is 0 at every grid point, so the band guards no time: the
+        # hazard path's model holds, but every row goes live at every time
+        # and the product never runs.  Small B and C: the live kernel is slow
+        # on the subnormal values these second layers hold.
+        B, C, G = 40, 30, 8
+        layers = _curve_layers("series(c1,c2,c3)", [WEIBULL] * 3,
+                               [ComponentModel(WEIBULL, mu=0.0, sigma=0.5)] * 3, 10, B, C, 5,
+                               np.geomspace(math.exp(4.0), math.exp(5.0), G))
+        assert (layers[-1] == 0.0).all()
+        assert bootstrap._hazard_model(*layers[:4]) is not None
+        _assert_live_counts(*layers)
+        assert live_calls == [(B, G)] and not product_rows
 
     @pytest.mark.parametrize("grid", [np.linspace(0.5, 2.0, 10), np.geomspace(2.0, 0.5, 10)],
                              ids=["linear", "decreasing"])

@@ -257,6 +257,24 @@ class TestCensoredFlags:
         assert captured.out == ""
         assert "censored flags must be 0 or 1" in captured.err
 
+    @pytest.mark.parametrize("text, row", [
+        ("1.0\n2.0,1\n3.0\n4.0\n", 2),
+        ("time,status\n1.0,0\n2.0,1\n3.0,0\n", None),
+        ("1.0,0\n2.0\n3.0,0\n4.0,1,7\n", 2),
+        ("1.0,0,7\n2.0,0,7\n3.0,0,7\n", 1),
+    ], ids=["flag-after-bare-row", "unknown-header", "short-and-long-rows", "three-columns"])
+    def test_csv_row_not_shaped_like_the_first_exit_2(self, tmp_path, capsys, text, row):
+        # a flag the first row's width would drop, or a column that is not `censored`
+        (tmp_path / "c1.csv").write_text(text)
+        path = tmp_path / "request.json"
+        path.write_text(json.dumps({"structure": "series(c1)", "t": 5.0, "method": "delta",
+                                    "components": [{"id": "c1", "family": "weibull",
+                                                    "data_file": "c1.csv"}]}))
+        assert main(["lcl", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "c1.csv" in captured.err
+        assert (f"row {row} has" if row else "unrecognized header") in captured.err
+
 
 class TestSimulateCommand:
     def test_smoke_config_runs_and_writes(self, tmp_path):

@@ -12,7 +12,9 @@ Run from the root of a checkout.  Two steps:
 of a pair back to back for each workload in turn, alternating which side
 goes first, and copies each result record from the checkout's
 ``perfbench/out/`` to ``RUNS/pair-NN/<side>/``; ``RUNS/pair-NN/first`` names
-the side that ran first.  Each checkout should be a fresh ``git archive`` of
+the side that ran first.  It stops, naming the pair, side and workload, at a
+run that exits with a code other than 0 (correct) or 1 (incorrect, still
+recorded), or writes no record.  Each checkout should be a fresh ``git archive`` of
 its commit, warmed by one ``--smoke`` run per workload.
 
 ``build`` reads those records and writes, per workload, whether every run
@@ -63,9 +65,15 @@ def run_pairs(args) -> int:
                 command = [sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(args.seed), "--seconds", str(args.seconds),
                            "--trace", "0"]
-                subprocess.run(command, cwd=dirs[side], stdout=subprocess.DEVNULL, check=False)
-                name = record_name(workload, args.seed)
-                shutil.copy(dirs[side] / "perfbench" / "out" / name, pair_dir / side / name)
+                record = dirs[side] / "perfbench" / "out" / record_name(workload, args.seed)
+                # a run that dies before writing must not leave the last pair's record
+                record.unlink(missing_ok=True)
+                code = subprocess.run(command, cwd=dirs[side], stdout=subprocess.DEVNULL,
+                                      check=False).returncode
+                if code not in (0, 1) or not record.exists():
+                    raise SystemExit(f"pair {pair + 1} {side} {workload}: perfbench exited "
+                                     f"{code}" + ("" if record.exists() else ", no record"))
+                shutil.copy(record, pair_dir / side / record.name)
                 print(f"pair {pair + 1} {workload} {side}", flush=True)
     return 0
 

@@ -13,7 +13,10 @@ warm-up curve, then ``bootstrap_curve("dbpt", ...)`` on
 ``--datasets`` n = 5 datasets, and prints one JSON object: per system the
 median ms per grid point and the median ``getrusage`` minor faults per
 curve.  It also times ``delta_curve`` on the same grid and datasets, and
-prints its median ms per grid point.  Alternate processes of the two sides
+prints its median ms per grid point.  After every system is timed, a
+separate pass runs the same dbpt curves again under ``tracemalloc`` and
+prints each system's median peak traced memory per curve, in MB, so the
+tracing does not touch the timings.  Alternate processes of the two sides
 to compare them.
 """
 
@@ -25,6 +28,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 # (structure, family, system reliability the components are solved to at t = 1)
@@ -49,19 +53,27 @@ def main(argv=None) -> int:
     from relbound.rng import generator
 
     grid = rb.default_t_grid(1.0, 50, 1.0)
-    out = {}
+    cells = []
     for text, name, target in SYSTEMS:
         node, family = rb.parse_structure(text), rb.family_from_name(name)
         models, _ = rb.solve_identical_components(node, family, target, 1.0)
-        families = [family] * len(models)
+        key = f"{text} {name}" + ("" if target == 0.9 else f" R={target:g}")
+        cells.append((key, node, [family] * len(models), models))
+
+    def curve(node, families, data, seed):
+        rb.bootstrap_curve("dbpt", node, families, data, grid, 0.1, 1000, 500, 100 + seed)
+
+    def dataset(models, seed):
+        return [rb.sample_lifetimes(m, 5, generator(seed, 0, i)) for i, m in enumerate(models)]
+
+    out = {}
+    for key, node, families, models in cells:
         ms, faults, delta_ms = [], [], []
         for seed in range(-1, args.datasets):  # seed -1 is the warm-up
-            data = [rb.sample_lifetimes(m, 5, generator(abs(seed), 0, i))
-                    for i, m in enumerate(models)]
+            data = dataset(models, abs(seed))
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
-            rb.bootstrap_curve("dbpt", node, families, data, grid, 0.1, 1000, 500,
-                               100 + abs(seed))
+            curve(node, families, data, abs(seed))
             elapsed = time.perf_counter() - start
             after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
@@ -71,10 +83,20 @@ def main(argv=None) -> int:
                 ms.append(elapsed * 1e3 / grid.size)
                 faults.append(after - before)
                 delta_ms.append(delta_elapsed * 1e3 / grid.size)
-        out[f"{text} {name}" + ("" if target == 0.9 else f" R={target:g}")] = {
-            "ms_per_point": round(statistics.median(ms), 2),
-            "minflt_per_curve": statistics.median(faults),
-            "delta_ms_per_point": round(statistics.median(delta_ms), 3)}
+        out[key] = {"ms_per_point": round(statistics.median(ms), 2),
+                    "minflt_per_curve": statistics.median(faults),
+                    "delta_ms_per_point": round(statistics.median(delta_ms), 3)}
+    for key, node, families, models in cells:
+        peaks = []
+        for seed in range(args.datasets):
+            data = dataset(models, seed)
+            tracemalloc.start()
+            try:
+                curve(node, families, data, seed)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        out[key]["tracemalloc_peak_mb"] = round(statistics.median(peaks) / 2 ** 20, 2)
     print(json.dumps(out))
     return 0
 
